@@ -102,9 +102,8 @@ int main(int argc, char** argv) {
   options.num_units = smoke ? 16 : 64;
   options.seed = 7;
   options.enable_wal = true;
-  options.incremental_checkpoints = true;
   options.compaction_trigger = 0;  // manual folds only: the bench is the
-  options.compaction_byte_budget = 0;  // policy here, not the compactor
+  options.compaction_byte_budget = 0;  // policy here, not the budget fold
 
   std::printf("bench_scale: %zu files, %zu churn (1%%), %zu units\n\n",
               files, churn, options.num_units);

@@ -41,8 +41,10 @@ struct Options {
   // ---- durability --------------------------------------------------------
   /// Write-ahead log every Put/Delete/Write into the sharded WAL
   /// (<path>/wal/<unit>.log, one log per storage unit — writers routed to
-  /// different units commit and fsync independently). With this off,
-  /// mutations after the last checkpoint are lost on a crash.
+  /// different units commit and fsync independently), and checkpoint by
+  /// incremental delta cuts. With this off, mutations after the last
+  /// checkpoint are lost on a crash, and Checkpoint() folds a full image
+  /// (a cut captures only logged mutations).
   bool enable_wal = true;
 
   /// WAL records per group-commit fsync, per shard. 0 = adaptive: each
@@ -54,21 +56,15 @@ struct Options {
   /// durability boundaries need a deterministic batch size.
   std::size_t group_commit = 0;
 
-  /// Background-checkpoint cadence: snapshot the deployment (epoch freeze
-  /// + copy-on-write, concurrent with serving) every N acknowledged
-  /// mutations. 0 = checkpoint only on explicit Checkpoint() calls.
-  /// Requires enable_wal (the protocol fences against the WAL shards).
-  std::size_t checkpoint_every = 0;
-
-  /// Incremental checkpoints (requires enable_wal): the checkpoint
-  /// cadence action becomes a delta CUT — slice each storage unit's WAL
-  /// shard since the last cut into an append-only segment file under
+  /// Background-checkpoint cadence: take a delta CUT in the background
+  /// every N acknowledged mutations — slice each storage unit's WAL shard
+  /// since the last cut into an append-only segment file under
   /// <path>/ckpt/, publish a manifest chaining the cut onto the base
-  /// image, and rebase the shards. Cold units contribute nothing; a
-  /// wholly cold store cuts for free. Recovery loads base + delta chain
-  /// + WAL tail. With this off, every checkpoint writes a full image
-  /// (the pre-incremental behavior).
-  bool incremental_checkpoints = true;
+  /// image, and rebase the shards. Cold units contribute nothing; a wholly
+  /// cold store cuts for free. Recovery loads base + delta chain + WAL
+  /// tail. 0 = checkpoint only on explicit Checkpoint() calls. Requires
+  /// enable_wal.
+  std::size_t checkpoint_every = 0;
 
   /// Fold the delta chain into a fresh base image (background, concurrent
   /// with serving) once it exceeds this many cuts. 0 = never by length.
@@ -77,9 +73,6 @@ struct Options {
   /// ...or once the chain's segment extents exceed this many bytes.
   /// 0 = never by bytes. Both 0 = compact only on explicit Compact().
   std::uint64_t compaction_byte_budget = 64ull << 20;
-
-  /// Worker threads backing the background checkpointer's pool.
-  std::size_t background_threads = 2;
 
   // ---- ingest ------------------------------------------------------------
   /// Writer threads Write() may fan a large all-Put batch across

@@ -2,8 +2,8 @@
 // SmartStore metadata system.
 //
 // One Open() composes what PRs 2–4 built as loose parts: it constructs or
-// recovers the core store (snapshot load + sequence-merged WAL-shard
-// replay), takes an exclusive LOCK file against a second process opening
+// recovers the core store (base image + delta chain + sequence-merged
+// WAL-shard replay), takes an exclusive LOCK file against a second process opening
 // the same data directory, attaches the per-unit WAL shard hooks to every
 // mutation, and starts the background checkpointer at the configured
 // cadence. Close() (or the destructor) tears it all down in the only safe
@@ -101,16 +101,16 @@ struct ReadOptions {
       static_cast<std::uint64_t>(-1);
 };
 
-/// Background-checkpoint accounting (see GetCheckpointInfo).
+/// Checkpoint accounting (see GetCheckpointInfo). Every checkpoint is a
+/// delta cut or a fold (a full image of the whole chain).
 struct CheckpointInfo {
-  std::uint64_t completed = 0;
-  std::uint64_t total_mutations_during = 0;  ///< rode along across all ckpts
-  std::uint64_t total_cow_copies = 0;
+  std::uint64_t completed = 0;               ///< cuts + folds since Open
+  std::uint64_t total_mutations_during = 0;  ///< rode along across all folds
+  std::uint64_t total_cow_copies = 0;        ///< copied on write during folds
   double last_freeze_s = 0;    ///< serving threads excluded
-  double last_write_s = 0;     ///< concurrent serialization
+  double last_write_s = 0;     ///< whole cut/fold, concurrent with serving
   double last_truncate_s = 0;  ///< per-shard WAL rebase
-  std::size_t last_snapshot_bytes = 0;
-  // Incremental mode (Options::incremental_checkpoints):
+  std::size_t last_snapshot_bytes = 0;  ///< delta bytes, or fold image size
   bool last_was_delta = false;      ///< last checkpoint was a delta cut
   std::uint64_t delta_cuts = 0;     ///< cuts published since Open
   std::uint64_t delta_folds = 0;    ///< chain folds (compactions) since Open
@@ -162,9 +162,9 @@ class Store {
   /// construction, replica initialization. Only valid while the store is
   /// empty (a fresh Open with no Puts yet) — the paper's build() is a
   /// whole-deployment operation, not an incremental one. Bulkload is not
-  /// write-ahead logged; on a durable store it checkpoints the deployment
-  /// before returning (cheap next to the build), so the population is
-  /// crash-safe from the moment Bulkload returns OK.
+  /// write-ahead logged; on a durable store it folds the deployment into a
+  /// base image before returning (cheap next to the build), so the
+  /// population is crash-safe from the moment Bulkload returns OK.
   Status Bulkload(const std::vector<metadata::FileMetadata>& files);
 
   // ---- mutations ---------------------------------------------------------
@@ -206,22 +206,21 @@ class Store {
   /// durable. No-op without a WAL.
   Status Flush();
 
-  /// Checkpoints the deployment into the data directory. With a WAL this
-  /// is the background protocol run to completion — serving threads keep
-  /// running. Under Options::incremental_checkpoints that means a delta
-  /// CUT (per-unit WAL slices appended to segment files, manifest
-  /// published, shards rebased; cold units free); otherwise the full
-  /// freeze → concurrent snapshot → per-shard rebase image. Without a
-  /// WAL it quiesces mutators for a stop-the-world snapshot.
+  /// Checkpoints the deployment into the data directory on the calling
+  /// thread while serving threads keep running, and returns once it is
+  /// published. With a WAL that is a delta CUT (per-unit WAL slices
+  /// appended to segment files, manifest published, shards rebased; cold
+  /// units free; the first cut of a fresh store folds instead). When the
+  /// chain is then past Options::compaction_trigger /
+  /// compaction_byte_budget, a fold is scheduled in the background.
+  /// Without a WAL (enable_wal = false) it folds, since a cut captures
+  /// only logged mutations.
   Status Checkpoint();
 
   /// Folds the delta chain into a fresh base image, concurrent with
   /// serving (epoch freeze + copy-on-write), and prunes superseded delta
   /// files. Runs even when the chain is short — this is the explicit
-  /// "compact now" knob; the background compactor applies
-  /// Options::compaction_trigger / compaction_byte_budget automatically
-  /// after each cut. Falls back to Checkpoint() semantics on stores
-  /// without incremental checkpoints.
+  /// "compact now" knob.
   Status Compact();
 
   // ---- replication -------------------------------------------------------

@@ -63,7 +63,6 @@ struct CliOptions {
   std::string load_dir;
   std::string wal_dir;
   std::size_t bg_checkpoint = 0;  ///< checkpoint every N churn inserts
-  bool full_checkpoints = false;  ///< disable incremental (delta) mode
   std::size_t compaction_trigger = 4;       ///< fold past N chained cuts
   std::uint64_t compaction_bytes = 64ull << 20;  ///< ...or N delta bytes
   bool compact = false;           ///< fold the delta chain before querying
@@ -112,9 +111,6 @@ void usage(const char* argv0) {
       "  --bg-checkpoint N          checkpoint in the background every N\n"
       "                             churn inserts while inserting continues\n"
       "                             (requires --save; the WAL lives there)\n"
-      "  --full-checkpoints         write full snapshot images instead of\n"
-      "                             incremental WAL-delta cuts (the\n"
-      "                             pre-delta behavior)\n"
       "  --compaction-trigger N     fold the delta chain into a fresh base\n"
       "                             past N chained cuts (default 4; 0 =\n"
       "                             never by length)\n"
@@ -242,8 +238,6 @@ CliOptions parse_args(int argc, char** argv) {
       opt.wal_dir = need_value(i++);
     } else if (a == "--bg-checkpoint") {
       opt.bg_checkpoint = parse_size(i++);
-    } else if (a == "--full-checkpoints") {
-      opt.full_checkpoints = true;
     } else if (a == "--compaction-trigger") {
       opt.compaction_trigger = parse_size(i++);
     } else if (a == "--compaction-bytes") {
@@ -420,7 +414,6 @@ int main(int argc, char** argv) {
   options.ingest_threads = opt.ingest_threads;
   options.group_commit = opt.group_commit;
   options.checkpoint_every = opt.bg_checkpoint;
-  options.incremental_checkpoints = !opt.full_checkpoints;
   options.compaction_trigger = opt.compaction_trigger;
   options.compaction_byte_budget = opt.compaction_bytes;
   options.crash_at = opt.crash_at;
@@ -428,9 +421,9 @@ int main(int argc, char** argv) {
   std::string dir = !opt.load_dir.empty() ? opt.load_dir : opt.save_dir;
   if (dir.empty()) dir = opt.wal_dir;
   options.in_memory = dir.empty();
-  // The WAL shards are only wanted when churn inserts should be logged or
-  // the background checkpointer needs them to fence against; a plain
-  // --save run checkpoints stop-the-world at the end instead.
+  // Churn inserts are only logged when --wal asks for it or background
+  // cuts need the log to slice; a plain --save run folds a full image at
+  // the end instead.
   options.enable_wal = !opt.wal_dir.empty() || opt.bg_checkpoint > 0;
   // --load expects an existing deployment; --save/--wal create one.
   options.create_if_missing = opt.load_dir.empty();
@@ -523,33 +516,24 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.save_dir.empty()) {
-    // Checkpoint() runs the background protocol to completion when the
-    // WAL shards are attached, the quiesced stop-the-world flavour when
-    // not — either way the published snapshot covers the whole run.
+    // Checkpoint() cuts a delta when churn was logged and folds a full
+    // image otherwise; either way the published checkpoint covers the run.
     db::Status cs = store->Checkpoint();
     if (!cs.ok()) die(cs, opt.crash_at);
-    if (property(*store, "smartstore.ckpt.delta-enabled") == "1") {
-      // Incremental mode: the image lives in ckpt/ (base + delta chain),
-      // not snapshot.bin — report what the final cut actually wrote.
-      const db::CheckpointInfo fin = store->GetCheckpointInfo();
-      std::printf(
-          "snapshot : delta checkpoint in %s/ckpt (chain %llu cuts / %s, "
-          "last cut %llu records)\n",
-          opt.save_dir.c_str(),
-          static_cast<unsigned long long>(fin.delta_chain_len),
-          util::format_bytes(static_cast<std::size_t>(fin.delta_chain_bytes))
-              .c_str(),
-          static_cast<unsigned long long>(fin.last_delta_records));
-    } else {
-      std::printf("snapshot : saved to %s (%s)\n",
-                  property(*store, "smartstore.snapshot.path").c_str(),
-                  util::format_bytes(static_cast<std::size_t>(std::strtoull(
-                                         property(*store,
-                                                  "smartstore.snapshot.bytes")
-                                             .c_str(),
-                                         nullptr, 10)))
-                      .c_str());
-    }
+    const db::CheckpointInfo fin = store->GetCheckpointInfo();
+    std::printf(
+        "snapshot : saved to %s (base %s, chain %llu cuts / %s, last cut "
+        "%llu records)\n",
+        property(*store, "smartstore.snapshot.path").c_str(),
+        util::format_bytes(static_cast<std::size_t>(std::strtoull(
+                               property(*store, "smartstore.snapshot.bytes")
+                                   .c_str(),
+                               nullptr, 10)))
+            .c_str(),
+        static_cast<unsigned long long>(fin.delta_chain_len),
+        util::format_bytes(static_cast<std::size_t>(fin.delta_chain_bytes))
+            .c_str(),
+        static_cast<unsigned long long>(fin.last_delta_records));
   }
 
   std::printf(

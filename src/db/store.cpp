@@ -1,7 +1,8 @@
 // smartstore::db::Store implementation: the one place that knows how to
-// compose core::SmartStore, persist::ShardedWal, persist::recover and
-// persist::BackgroundCheckpointer into a correctly-wired deployment — and
-// how to take it apart again in the right order.
+// compose core::SmartStore, persist::ShardedWal, persist::recover,
+// persist::DeltaEngine and persist::BackgroundCheckpointer into a
+// correctly-wired deployment — and how to take it apart again in the right
+// order.
 //
 // Lock architecture (outer to inner):
 //   lifecycle_mu (shared_mutex) — every operation holds it shared, so the
@@ -11,13 +12,13 @@
 //     into the core and releases it after, so exclusive acquisition doubles
 //     as "no facade operation is in flight".
 //   ckpt_mu (mutex) — serializes every interaction with the background
-//     checkpointer's trigger/wait pair (two threads get()ing the same
-//     std::future is a data race). The auto-cadence path only
-//     try_locks it: if someone else is talking to the checkpointer, a
-//     cadence trigger is already redundant. Invariant: every bg/wal
-//     dereference happens under lifecycle_mu (shared suffices), so
-//     Close/Abandon — which hold it exclusively — may drain and reset
-//     them without ckpt_mu: no shared holder can exist concurrently.
+//     checkpointer (two threads get()ing the same std::future is a data
+//     race). The auto-cadence path only try_locks it: if someone else is
+//     talking to the checkpointer, a cadence trigger is already
+//     redundant. Invariant: every bg/engine/wal dereference happens under
+//     lifecycle_mu (shared suffices), so Close/Abandon — which hold it
+//     exclusively — may drain and reset them without ckpt_mu: no shared
+//     holder can exist concurrently.
 //
 // Crash discipline (kFaultInjected): the first operation that sees
 // persist::FaultInjected runs crash() exactly once — drain the in-flight
@@ -40,7 +41,6 @@
 #include "core/smartstore.h"
 #include "db/lock_file.h"
 #include "persist/bg_checkpoint.h"
-#include "persist/compactor.h"
 #include "persist/delta_checkpoint.h"
 #include "persist/fault.h"
 #include "persist/recovery.h"
@@ -95,15 +95,16 @@ struct Store::Impl {
   RecoveryInfo recovery;
 
   // Teardown order matters and is encoded in Close(): the checkpointer
-  // references the store, WAL and pool; the compactor runs folds through
-  // the delta engine on the pool; the engine references store and WAL;
-  // the WAL holds open shard files.
+  // runs engine work on the pool; the engine references store and WAL;
+  // the WAL holds open shard files. Every durable store opens the WAL and
+  // the engine (a checkpoint fences and rebases whatever shard logs the
+  // directory holds); Options::enable_wal decides only whether mutations
+  // append (log()).
   std::unique_ptr<core::SmartStore> core;
   std::unique_ptr<persist::ShardedWal> wal;
+  std::unique_ptr<persist::DeltaEngine> engine;
   std::unique_ptr<util::ThreadPool> pool;
   std::unique_ptr<persist::BackgroundCheckpointer> bg;
-  std::unique_ptr<persist::DeltaEngine> delta;
-  std::unique_ptr<persist::Compactor> compactor;
 
   mutable util::SharedMutex lifecycle_mu{util::LockRank::kLifecycle};
   bool closed SS_GUARDED_BY(lifecycle_mu) = false;
@@ -137,16 +138,10 @@ struct Store::Impl {
         const util::MutexLock ck(ckpt_mu);
         if (bg) {
           try {
-            bg->wait();  // an in-flight checkpoint may land — "the power
+            bg->wait();  // an in-flight cut/fold may land — "the power
           } catch (...) {  // dies an instant later"
             // The worker's own injected fault; the directory already
             // holds whatever prefix its crash point left.
-          }
-        }
-        if (compactor) {
-          try {
-            compactor->wait();  // a scheduled fold must not race the WAL
-          } catch (...) {       // abandon below
           }
         }
       }
@@ -154,26 +149,33 @@ struct Store::Impl {
     });
   }
 
-  /// Creates the delta engine + compactor pair next to an existing
-  /// checkpointer (caller holds ckpt_mu; requires a sharded WAL).
-  void ensure_delta() SS_REQUIRES(ckpt_mu) {
-    if (delta || !opts.incremental_checkpoints) return;
-    delta = std::make_unique<persist::DeltaEngine>(*core, *wal, dir);
-    compactor = std::make_unique<persist::Compactor>(
-        *delta, *pool, opts.compaction_trigger, opts.compaction_byte_budget);
-    bg->set_delta(delta.get(), compactor.get());
+  /// The WAL mutations append to, or null when Options::enable_wal is off.
+  persist::ShardedWal* log() const {
+    return opts.enable_wal ? wal.get() : nullptr;
   }
 
-  /// Creates the background checkpointer on first need — an embedder that
-  /// only ever Puts/Queries/Flushes should not pay for an idle thread
-  /// pool. Caller holds ckpt_mu; requires a durable store with a WAL.
-  /// Throws PersistError through (callers map at the boundary).
+  /// Creates the background checkpointer (and its thread pool) on first
+  /// need — an embedder that only ever Puts/Queries/Flushes should not pay
+  /// for an idle pool. Caller holds ckpt_mu; requires a durable store.
   void ensure_checkpointer() SS_REQUIRES(ckpt_mu) {
     if (bg) return;
-    pool = std::make_unique<util::ThreadPool>(opts.background_threads);
-    bg = std::make_unique<persist::BackgroundCheckpointer>(*core, dir, *wal,
-                                                           *pool);
-    ensure_delta();  // incremental mode rides the same lazy creation
+    pool = std::make_unique<util::ThreadPool>(1);  // the slot's one job
+    bg = std::make_unique<persist::BackgroundCheckpointer>(
+        *engine, *pool, opts.compaction_trigger, opts.compaction_byte_budget);
+  }
+
+  /// One explicit checkpoint on the caller's thread: a cut, or a fold when
+  /// `fold` is set or mutations bypass the WAL (a cut sees only logged
+  /// records). Caller holds ckpt_mu. Throws through (callers map at the
+  /// boundary).
+  void checkpoint_now(bool fold) SS_REQUIRES(ckpt_mu) {
+    ensure_checkpointer();
+    if (fold || !log()) {
+      bg->compact();
+    } else {
+      bg->checkpoint();
+    }
+    mutations_since_ckpt.store(0, std::memory_order_relaxed);
   }
 
   /// Caller holds lifecycle_mu (shared suffices — this never changes the
@@ -184,41 +186,72 @@ struct Store::Impl {
   /// the next Checkpoint()/Close() through deferred_ckpt_error.
   CheckpointInfo checkpoint_info_locked() SS_REQUIRES_SHARED(lifecycle_mu) {
     CheckpointInfo info;
+    if (!engine) return info;
     bool fault = false;
     {
       const util::MutexLock ck(ckpt_mu);
-      if (!bg) return info;
-      try {
-        bg->wait();  // drain: the stats fields are plain (non-atomic)
-      } catch (const persist::FaultInjected&) {  // state from the worker
-        fault = true;
-      } catch (const persist::PersistError& e) {
-        if (deferred_ckpt_error.ok()) deferred_ckpt_error = map_persist_error(e);
-      } catch (const std::exception& e) {
-        if (deferred_ckpt_error.ok())
-          deferred_ckpt_error = Status::Unknown(e.what());
+      if (bg) {
+        try {
+          bg->wait();  // drain: the stats fields are plain (non-atomic)
+        } catch (const persist::FaultInjected&) {  // state from the worker
+          fault = true;
+        } catch (const persist::PersistError& e) {
+          if (deferred_ckpt_error.ok())
+            deferred_ckpt_error = map_persist_error(e);
+        } catch (const std::exception& e) {
+          if (deferred_ckpt_error.ok())
+            deferred_ckpt_error = Status::Unknown(e.what());
+        }
+        const persist::DeltaCutStats& st = bg->last_stats();
+        info.completed = bg->completed();
+        info.total_mutations_during = bg->total_mutations_during();
+        info.total_cow_copies = bg->total_cow_copies();
+        info.last_freeze_s = st.freeze_s;
+        info.last_write_s = st.seconds;
+        info.last_truncate_s = st.rebase_s;
+        info.last_snapshot_bytes =
+            st.folded ? st.base_bytes : static_cast<std::size_t>(st.delta_bytes);
+        info.last_was_delta = info.completed > 0 && !st.folded;
+        info.last_delta_records = st.delta_records;
+        info.last_delta_units = st.units_contributing;
+        info.last_delta_units_cold = st.units_cold;
       }
-      const persist::CheckpointStats& st = bg->last_stats();
-      info.completed = bg->completed();
-      info.total_mutations_during = bg->total_mutations_during();
-      info.total_cow_copies = bg->total_cow_copies();
-      info.last_freeze_s = st.freeze_s;
-      info.last_write_s = st.write_s;
-      info.last_truncate_s = st.truncate_s;
-      info.last_snapshot_bytes = st.snapshot_bytes;
-      info.last_was_delta = st.delta;
-      info.last_delta_records = st.delta_records;
-      info.last_delta_units = st.delta_units;
-      info.last_delta_units_cold = st.delta_units_cold;
-      if (delta) {
-        info.delta_cuts = delta->cuts();
-        info.delta_folds = delta->folds();
-        info.delta_chain_len = delta->chain_len();
-        info.delta_chain_bytes = delta->chain_bytes();
-      }
+      info.delta_cuts = engine->cuts();
+      info.delta_folds = engine->folds();
+      info.delta_chain_len = engine->chain_len();
+      info.delta_chain_bytes = engine->chain_bytes();
     }
     if (fault) crash();  // outside ckpt_mu (crash() re-acquires it)
     return info;
+  }
+
+  /// Checkpoint()/Compact(): serving threads keep running (a cut freezes
+  /// nothing; a fold runs the epoch-freeze/COW protocol).
+  Status run_checkpoint(bool fold) {
+    util::ReaderLock lk(lifecycle_mu);
+    Status gate = check_serving();
+    if (!gate.ok()) return gate;
+    if (!durable())
+      return Status::FailedPrecondition("ephemeral store cannot checkpoint");
+    try {
+      const util::MutexLock ck(ckpt_mu);
+      if (!deferred_ckpt_error.ok()) {
+        // A failure an introspection drain parked earlier: surface it
+        // once instead of silently checkpointing over it.
+        Status s = deferred_ckpt_error;
+        deferred_ckpt_error = Status::OK();
+        return s;
+      }
+      checkpoint_now(fold);
+      return Status::OK();
+    } catch (const persist::FaultInjected& e) {
+      crash();  // ckpt_mu was released by the unwind above
+      return Status::FaultInjected(e.what());
+    } catch (const persist::PersistError& e) {
+      return map_persist_error(e);
+    } catch (const std::exception& e) {
+      return Status::Unknown(e.what());
+    }
   }
 
   /// Gate run by every operation after taking lifecycle_mu (shared or
@@ -240,24 +273,22 @@ struct Store::Impl {
   /// unit's apply order), the group-commit fsync from the flush hook after
   /// the lock is released.
   void insert_one(const metadata::FileMetadata& f) {
-    if (wal) {
+    if (persist::ShardedWal* w = log()) {
       core->insert_file(
           f, 0.0,
-          [&](core::UnitId target) { return wal->append_insert(target, f); },
-          [&](core::UnitId target) { wal->maybe_commit(target); });
+          [&](core::UnitId target) { return w->append_insert(target, f); },
+          [&](core::UnitId target) { w->maybe_commit(target); });
     } else {
       core->insert_file(f, 0.0);
     }
   }
 
   bool erase_one(const std::string& name) {
-    if (wal) {
+    if (persist::ShardedWal* w = log()) {
       return core->erase_file(
           name,
-          [&](core::UnitId located) {
-            return wal->append_remove(located, name);
-          },
-          [&](core::UnitId located) { wal->maybe_commit(located); });
+          [&](core::UnitId located) { return w->append_remove(located, name); },
+          [&](core::UnitId located) { w->maybe_commit(located); });
     }
     return core->erase_file(name);
   }
@@ -277,7 +308,7 @@ struct Store::Impl {
       std::vector<metadata::FileMetadata> chunk;
       chunk.reserve(ce - cb);
       for (std::size_t i = cb; i < ce; ++i) chunk.push_back(ops[i].file);
-      if (wal) {
+      if (persist::ShardedWal* w = log()) {
         // The append hook fires once per file, in chunk order, on this
         // thread, under the routed unit's lock — the cursor pairs each
         // callback with its file.
@@ -285,9 +316,9 @@ struct Store::Impl {
         core->insert_batch(
             chunk, 0.0,
             [&](core::UnitId target) {
-              return wal->append_insert(target, chunk[cursor++]);
+              return w->append_insert(target, chunk[cursor++]);
             },
-            [&](core::UnitId target) { wal->maybe_commit(target); });
+            [&](core::UnitId target) { w->maybe_commit(target); });
       } else {
         core->insert_batch(chunk, 0.0);
       }
@@ -369,16 +400,14 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
     return Status::InvalidArgument("num_units must be > 0");
   if (options.fanout < 2)
     return Status::InvalidArgument("fanout must be >= 2");
-  if (options.background_threads == 0)
-    return Status::InvalidArgument("background_threads must be > 0");
   if (options.ingest_threads == 0)
     return Status::InvalidArgument("ingest_threads must be > 0");
   if (!options.in_memory && path.empty())
     return Status::InvalidArgument("path must be non-empty (or set in_memory)");
   if (options.checkpoint_every > 0 && (!options.enable_wal || options.in_memory))
     return Status::InvalidArgument(
-        "checkpoint_every requires enable_wal on a durable store (the "
-        "background protocol fences against the WAL shards)");
+        "checkpoint_every requires enable_wal on a durable store (a "
+        "cadence cut captures only WAL-logged mutations)");
 
   // The fault injector is process-global; make sure a handle that never
   // reaches its armed boundary (failed Open, early Close) cannot leave
@@ -458,21 +487,15 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
       im.core = std::make_unique<core::SmartStore>(cfg);
       im.core->build({});
       // A deployment that crashed before its first checkpoint has WAL
-      // records but no snapshot; their base image is exactly the empty
-      // build above (assuming the same Options), so the full log replays.
-      const bool logs_exist =
-          std::filesystem::exists(persist::wal_path(path), ec) ||
-          std::filesystem::is_directory(
-              persist::ShardedWal::shard_dir(path), ec);
-      if (logs_exist) {
-        persist::RecoveryResult rec;
-        persist::replay_dir_logs(*im.core, path, persist::WalFence{}, rec);
-        im.recovery.recovered = rec.wal_records > 0;
-        im.recovery.wal_records = rec.wal_records;
-        im.recovery.wal_blocks = rec.wal_blocks;
-        im.recovery.wal_shards = rec.wal_shards;
-        im.recovery.wal_tail_torn = rec.wal_tail_torn;
-      }
+      // records but no image; their base is exactly the empty build above
+      // (assuming the same Options), so the full logs replay.
+      persist::RecoveryResult rec;
+      persist::replay_dir_logs(*im.core, path, persist::WalFence{}, rec);
+      im.recovery.recovered = rec.wal_records > 0;
+      im.recovery.wal_records = rec.wal_records;
+      im.recovery.wal_blocks = rec.wal_blocks;
+      im.recovery.wal_shards = rec.wal_shards;
+      im.recovery.wal_tail_torn = rec.wal_tail_torn;
     } catch (const persist::FaultInjected& e) {
       // FaultInjected IS-A PersistError (default code kCorruption): catch
       // it first or a simulated power cut masquerades as corruption.
@@ -486,35 +509,40 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
     }
   }
 
-  if (options.enable_wal) {
-    try {
-      // group_commit == 0 means adaptive sizing: each shard converges on
-      // its own batch from fsync-latency and arrival-rate EWMAs, seeded
-      // from the paper's aggregation factor until the estimates warm up.
-      im.wal = std::make_unique<persist::ShardedWal>(
-          path, im.core->units().size(),
-          options.group_commit > 0 ? options.group_commit
-                                   : im.core->config().version_ratio,
-          /*adaptive=*/options.group_commit == 0);
-      // A rebased/reset shard dir restarts its on-disk seq counter; the
-      // snapshot remembers the commit frontier, so fresh stamps must start
-      // strictly past everything already applied or time-travel reads
-      // would see two mutations share a timestamp.
-      im.wal->ensure_seq_at_least(im.core->last_commit_seq() + 1);
-      // The checkpointer (and its thread pool) is eager only when the
-      // cadence needs it from the first mutation; an explicit
-      // Checkpoint() call creates it lazily instead.
-      if (options.checkpoint_every > 0) {
-        const util::MutexLock ck(im.ckpt_mu);
-        im.ensure_checkpointer();
-      }
-    } catch (const persist::FaultInjected& e) {
-      return Status::FaultInjected(e.what());  // before the PersistError
-    } catch (const persist::PersistError& e) {  // catch: IS-A relationship
-      return map_persist_error(e);
-    } catch (const std::exception& e) {
-      return Status::IOError(e.what());
+  try {
+    // group_commit == 0 means adaptive sizing: each shard converges on
+    // its own batch from fsync-latency and arrival-rate EWMAs, seeded
+    // from the paper's aggregation factor until the estimates warm up.
+    im.wal = std::make_unique<persist::ShardedWal>(
+        path, im.core->units().size(),
+        options.group_commit > 0 ? options.group_commit
+                                 : im.core->config().version_ratio,
+        /*adaptive=*/options.group_commit == 0);
+    // A rebased shard dir restarts its on-disk seq counter; the base image
+    // remembers the commit frontier, so fresh stamps must start strictly
+    // past everything already applied or time-travel reads would see two
+    // mutations share a timestamp.
+    im.wal->ensure_seq_at_least(im.core->last_commit_seq() + 1);
+    im.engine = std::make_unique<persist::DeltaEngine>(*im.core, *im.wal,
+                                                       path);
+    const util::MutexLock ck(im.ckpt_mu);
+    // A legacy wal.bin is replayed exactly once: recover() read it (only
+    // when no manifest exists), a fold now publishes an image containing
+    // it, and then the file goes. Under a manifest it is dead already.
+    if (std::filesystem::exists(persist::wal_path(path), ec)) {
+      if (!im.recovery.used_manifest) im.checkpoint_now(/*fold=*/true);
+      persist::remove_legacy_wal(path);
     }
+    // The checkpointer (and its thread pool) is eager only when the
+    // cadence needs it from the first mutation; an explicit Checkpoint()
+    // call creates it lazily instead.
+    if (options.checkpoint_every > 0) im.ensure_checkpointer();
+  } catch (const persist::FaultInjected& e) {
+    return Status::FaultInjected(e.what());  // before the PersistError
+  } catch (const persist::PersistError& e) {  // catch: IS-A relationship
+    return map_persist_error(e);
+  } catch (const std::exception& e) {
+    return Status::IOError(e.what());
   }
   fault_guard.active = false;  // the live handle owns the countdown now
   return store;
@@ -533,27 +561,19 @@ Status Store::Bulkload(const std::vector<metadata::FileMetadata>& files) {
   }
   try {
     impl_->core->build(files);
-    // Checkpoint before returning (durable stores): Bulkload is not
-    // WAL-logged, and the no-snapshot recovery path assumes a log's base
-    // image is the EMPTY build — if the population were not snapshotted
+    // Fold before returning (durable stores): Bulkload is not WAL-logged,
+    // and the no-checkpoint recovery path assumes a log's base image is
+    // the EMPTY build — if the population were not folded into an image
     // here, a crash before the first explicit Checkpoint would silently
     // replay later Puts onto an empty store and drop the bulkload.
-    // build() already dwarfs this snapshot's cost. We hold the exclusive
-    // lifecycle lock, so the quiesced flavour applies.
+    // build() already dwarfs this fold's cost.
     if (impl_->durable() && !files.empty()) {
-      if (impl_->wal) {
-        persist::checkpoint(*impl_->core, impl_->dir, *impl_->wal);
-      } else {
-        persist::checkpoint(*impl_->core, impl_->dir);
-      }
-      // The quiesced checkpoint removed the incremental state (its full
-      // image subsumes every delta); a live engine must not keep chaining
-      // onto a manifest that no longer exists.
-      if (impl_->delta) impl_->delta->invalidate();
+      const util::MutexLock ck(impl_->ckpt_mu);
+      impl_->checkpoint_now(/*fold=*/true);
     }
     return Status::OK();
   } catch (const persist::FaultInjected& e) {
-    impl_->crash();  // safe under the exclusive lock: needs only ckpt_mu
+    impl_->crash();  // ckpt_mu was released by the unwind above
     return Status::FaultInjected(e.what());
   } catch (const persist::PersistError& e) {
     return map_persist_error(e);
@@ -793,7 +813,7 @@ Status Store::Flush() {
   if (!gate.ok()) return gate;
   if (!impl_->durable())
     return Status::FailedPrecondition("ephemeral store has no WAL");
-  if (!impl_->wal) return Status::OK();  // durable but unlogged: no-op
+  if (!impl_->log()) return Status::OK();  // durable but unlogged: no-op
   try {
     impl_->wal->commit_all();
     return Status::OK();
@@ -807,98 +827,9 @@ Status Store::Flush() {
   }
 }
 
-Status Store::Checkpoint() {
-  // Background path: serving threads keep running; all checkpointer
-  // interaction serialized under ckpt_mu (released by unwinding before
-  // the catch blocks run, so crash() never sees it held).
-  {
-    util::ReaderLock lk(impl_->lifecycle_mu);
-    Status gate = impl_->check_serving();
-    if (!gate.ok()) return gate;
-    if (!impl_->durable())
-      return Status::FailedPrecondition("ephemeral store cannot checkpoint");
-    if (impl_->wal) {
-      try {
-        const util::MutexLock ck(impl_->ckpt_mu);
-        if (!impl_->deferred_ckpt_error.ok()) {
-          // A failure an introspection drain parked earlier: surface it
-          // once instead of silently checkpointing over it.
-          Status s = impl_->deferred_ckpt_error;
-          impl_->deferred_ckpt_error = Status::OK();
-          return s;
-        }
-        impl_->ensure_checkpointer();
-        impl_->bg->wait();     // drain (and surface) any in-flight run
-        impl_->bg->trigger();  // cannot race: all triggers hold ckpt_mu
-        impl_->bg->wait();
-        impl_->mutations_since_ckpt.store(0, std::memory_order_relaxed);
-        return Status::OK();
-      } catch (const persist::FaultInjected& e) {
-        impl_->crash();  // ckpt_mu was released by the unwind above
-        return Status::FaultInjected(e.what());
-      } catch (const persist::PersistError& e) {
-        return map_persist_error(e);
-      } catch (const std::exception& e) {
-        return Status::Unknown(e.what());
-      }
-    }
-  }
+Status Store::Checkpoint() { return impl_->run_checkpoint(/*fold=*/false); }
 
-  // No WAL: the stop-the-world flavour, quiesced by excluding every facade
-  // operation for the duration.
-  util::WriterLock ex(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-  try {
-    persist::checkpoint(*impl_->core, impl_->dir);
-    return Status::OK();
-  } catch (const persist::FaultInjected& e) {
-    impl_->crash();  // safe under the exclusive lock: needs only ckpt_mu
-    return Status::FaultInjected(e.what());
-  } catch (const persist::PersistError& e) {
-    return map_persist_error(e);
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
-}
-
-Status Store::Compact() {
-  {
-    util::ReaderLock lk(impl_->lifecycle_mu);
-    Status gate = impl_->check_serving();
-    if (!gate.ok()) return gate;
-    if (!impl_->durable())
-      return Status::FailedPrecondition("ephemeral store cannot compact");
-    if (impl_->wal && impl_->opts.incremental_checkpoints) {
-      try {
-        const util::MutexLock ck(impl_->ckpt_mu);
-        if (!impl_->deferred_ckpt_error.ok()) {
-          Status s = impl_->deferred_ckpt_error;
-          impl_->deferred_ckpt_error = Status::OK();
-          return s;
-        }
-        impl_->ensure_checkpointer();
-        impl_->bg->wait();  // drain (and surface) any in-flight cut
-        // compact_now waits out a scheduled background fold, then folds
-        // the whole chain into a fresh base on this thread — concurrent
-        // with serving (the engine reuses the epoch-freeze/COW protocol).
-        impl_->compactor->compact_now();
-        impl_->mutations_since_ckpt.store(0, std::memory_order_relaxed);
-        return Status::OK();
-      } catch (const persist::FaultInjected& e) {
-        impl_->crash();  // ckpt_mu was released by the unwind above
-        return Status::FaultInjected(e.what());
-      } catch (const persist::PersistError& e) {
-        return map_persist_error(e);
-      } catch (const std::exception& e) {
-        return Status::Unknown(e.what());
-      }
-    }
-  }
-  // No delta chain to fold (incremental mode off, or no WAL): a full
-  // checkpoint is the compacted state by definition.
-  return Checkpoint();
-}
+Status Store::Compact() { return impl_->run_checkpoint(/*fold=*/true); }
 
 // ---- replication ------------------------------------------------------------
 
@@ -906,7 +837,7 @@ Status Store::SetCommitTap(CommitTap tap) {
   util::ReaderLock lk(impl_->lifecycle_mu);
   Status gate = impl_->check_serving();
   if (!gate.ok()) return gate;
-  if (!impl_->wal) {
+  if (!impl_->log()) {
     return Status::FailedPrecondition(
         "the commit tap observes WAL durability; this store has no WAL");
   }
@@ -946,7 +877,7 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
   Status gate = impl_->check_serving();
   if (!gate.ok()) return gate;
   Impl& im = *impl_;
-  if (!im.wal) {
+  if (!im.log()) {
     return Status::FailedPrecondition(
         "replicated applies must be WAL-logged (a promoted follower has to "
         "survive its own crash); this store has no WAL");
@@ -1028,16 +959,15 @@ StatusOr<std::vector<metadata::FileMetadata>> Store::DumpSnapshot(
   // rebuild the state at that cut OFFLINE from base + chain. The
   // reconstruction never touches the serving store or its WAL, so live
   // traffic proceeds untouched while the dump serializes.
-  if (im.wal && im.opts.incremental_checkpoints) {
+  if (im.log()) {
     try {
       std::unique_ptr<core::SmartStore> at_cut;
       std::uint64_t cut_seq = 0;
       {
         const util::MutexLock ck(im.ckpt_mu);
-        im.ensure_checkpointer();
-        im.bg->wait();    // drain: the cut below must own the protocol
-        im.delta->cut();  // everything acked is now in base + chain
-        at_cut = im.delta->reconstruct_at_last_cut(&cut_seq);
+        im.checkpoint_now(/*fold=*/false);  // everything acked is now in
+                                            // base + chain
+        at_cut = im.engine->reconstruct_at_last_cut(&cut_seq);
       }
       if (seq_out) *seq_out = cut_seq;
       return at_cut->snapshot_dump(cut_seq);
@@ -1078,9 +1008,9 @@ Status Store::LoadBootstrap(std::uint64_t seq,
     // stamps land at or below `seq` — then the frontier jumps TO `seq`,
     // and the resumed stream (> seq) passes the ApplyReplicated gate.
     for (const metadata::FileMetadata& f : files) im.insert_one(f);
-    if (im.wal) {
-      im.wal->commit_all();  // durable before the follower acks `seq`
-      im.wal->ensure_seq_at_least(seq + 1);
+    if (persist::ShardedWal* w = im.log()) {
+      w->commit_all();  // durable before the follower acks `seq`
+      w->ensure_seq_at_least(seq + 1);
     }
     im.core->note_commit_seq(seq);
     im.note_mutations(files.size());
@@ -1197,17 +1127,21 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
       return u64(w);
     }
 
-    if (name == "smartstore.snapshot.path") {
-      if (im.dir.empty()) return false;
-      *value = persist::snapshot_path(im.dir);
-      return true;
-    }
-    if (name == "smartstore.snapshot.bytes") {
-      if (im.dir.empty()) return false;
-      std::error_code ec;
-      const auto sz =
-          std::filesystem::file_size(persist::snapshot_path(im.dir), ec);
-      return !ec && u64(static_cast<std::uint64_t>(sz));
+    if (name == "smartstore.snapshot.path" ||
+        name == "smartstore.snapshot.bytes") {
+      if (!im.engine) return false;
+      std::string base;
+      std::uint64_t bytes = 0;
+      try {
+        if (!im.engine->base_image(&base, &bytes)) return false;
+      } catch (const std::exception&) {
+        return false;  // unreadable manifest: no image to report
+      }
+      if (name == "smartstore.snapshot.path") {
+        *value = base;
+        return true;
+      }
+      return u64(bytes);
     }
 
     // Checkpoint properties route through the drain in
@@ -1229,13 +1163,14 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
       return false;
     }
 
-    // Incremental-checkpoint properties: engine atomics, read under
-    // ckpt_mu only to order against the engine's lazy creation.
+    // Delta-checkpoint properties: engine atomics (the engine lives as
+    // long as the handle is open; in-memory stores have none).
     if (name.rfind("smartstore.ckpt.", 0) == 0) {
-      const util::MutexLock ck(im.ckpt_mu);
-      const persist::DeltaEngine* eng = im.delta.get();
+      const persist::DeltaEngine* eng = im.engine.get();
+      // Whether Checkpoint() cuts deltas (it folds when mutations bypass
+      // the WAL).
       if (name == "smartstore.ckpt.delta-enabled")
-        return u64(im.wal && im.opts.incremental_checkpoints ? 1 : 0);
+        return u64(im.log() ? 1 : 0);
       if (name == "smartstore.ckpt.delta-cuts")
         return u64(eng ? eng->cuts() : 0);
       if (name == "smartstore.ckpt.delta-folds")
@@ -1334,21 +1269,8 @@ Status Store::Close() {
   }
   if (im.bg) {
     try {
-      im.bg->wait();  // drain the in-flight checkpoint before anything
-    } catch (const persist::FaultInjected& e) {  // it references goes away
-      im.crashed.store(true, std::memory_order_release);
-      if (im.wal) im.wal->abandon();
-      result = Status::FaultInjected(e.what());
-    } catch (const persist::PersistError& e) {
-      if (result.ok()) result = map_persist_error(e);
-    } catch (const std::exception& e) {
-      if (result.ok()) result = Status::Unknown(e.what());
-    }
-  }
-  if (im.compactor) {
-    try {
-      im.compactor->wait();  // a scheduled fold drains the same way
-    } catch (const persist::FaultInjected& e) {
+      im.bg->wait();  // drain the in-flight cut/fold before anything it
+    } catch (const persist::FaultInjected& e) {  // references goes away
       im.crashed.store(true, std::memory_order_release);
       if (im.wal) im.wal->abandon();
       result = Status::FaultInjected(e.what());
@@ -1372,16 +1294,14 @@ Status Store::Close() {
     }
   }
 
-  // Teardown order: the checkpointer references store+wal+pool, the
-  // compactor's queued folds run on the pool against the engine, the pool
-  // must drain before the objects its queued work touches die, the engine
-  // references the WAL, the WAL holds the shard files, and the LOCK
-  // releases last — nothing of this handle touches the directory
-  // afterwards.
+  // Teardown order: the checkpointer's jobs run on the pool against the
+  // engine, the pool must drain before the objects its queued work touches
+  // die, the engine references store and WAL, the WAL holds the shard
+  // files, and the LOCK releases last — nothing of this handle touches the
+  // directory afterwards.
   im.bg.reset();
-  im.compactor.reset();
   im.pool.reset();
-  im.delta.reset();
+  im.engine.reset();
   im.wal.reset();
   im.lock.Release();
   // A countdown this handle armed but never reached must not fire inside
@@ -1401,21 +1321,14 @@ void Store::Abandon() {
   im.crashed.store(true, std::memory_order_release);
   if (im.bg) {
     try {
-      im.bg->wait();  // a checkpoint that already passed its boundaries
+      im.bg->wait();  // a cut/fold that already passed its boundaries
     } catch (...) {   // lands — "the power dies an instant later"
-    }
-  }
-  if (im.compactor) {
-    try {
-      im.compactor->wait();
-    } catch (...) {
     }
   }
   if (im.wal) im.wal->abandon();
   im.bg.reset();
-  im.compactor.reset();
   im.pool.reset();
-  im.delta.reset();
+  im.engine.reset();
   im.wal.reset();
   im.lock.Release();
   if (im.opts.crash_at > 0) persist::fault_disarm();

@@ -1,137 +1,43 @@
 #include "persist/bg_checkpoint.h"
 
-#include <filesystem>
-
-#include "persist/fault.h"
-#include "persist/recovery.h"
-#include "util/timer.h"
-
 namespace smartstore::persist {
 
-BackgroundCheckpointer::BackgroundCheckpointer(core::SmartStore& store,
-                                               std::string dir,
-                                               WalWriter& wal,
-                                               util::ThreadPool& pool)
-    : store_(store), dir_(std::move(dir)), wal_(&wal), pool_(pool) {
-  std::filesystem::create_directories(dir_);
-  std::error_code ec;
-  if (std::filesystem::weakly_canonical(wal_->path(), ec) !=
-      std::filesystem::weakly_canonical(wal_path(dir_), ec)) {
-    throw PersistError(
-        "BackgroundCheckpointer: the WAL writer must own this directory's "
-        "log (" + wal_path(dir_) + "), got " + wal_->path());
-  }
-}
-
-BackgroundCheckpointer::BackgroundCheckpointer(core::SmartStore& store,
-                                               std::string dir,
-                                               ShardedWal& wal,
-                                               util::ThreadPool& pool)
-    : store_(store), dir_(std::move(dir)), sharded_(&wal), pool_(pool) {
-  std::filesystem::create_directories(dir_);
-  std::error_code ec;
-  if (std::filesystem::weakly_canonical(sharded_->dir(), ec) !=
-      std::filesystem::weakly_canonical(ShardedWal::shard_dir(dir_), ec)) {
-    throw PersistError(
-        "BackgroundCheckpointer: the sharded WAL must own this directory's "
-        "shards (" + ShardedWal::shard_dir(dir_) + "), got " +
-        sharded_->dir());
-  }
-}
+BackgroundCheckpointer::BackgroundCheckpointer(DeltaEngine& engine,
+                                               util::ThreadPool& pool,
+                                               std::size_t max_chain_len,
+                                               std::uint64_t max_chain_bytes)
+    : engine_(engine),
+      pool_(pool),
+      max_chain_len_(max_chain_len),
+      max_chain_bytes_(max_chain_bytes) {}
 
 BackgroundCheckpointer::~BackgroundCheckpointer() {
   if (inflight_.valid()) {
     try {
       inflight_.get();
     } catch (...) {
-      // Destruction cannot surface the failure; the next recover() sees a
-      // state every crash window of the protocol keeps consistent.
+      // Destruction cannot surface the failure; the next Open sees a
+      // state every crash window of the cut/fold protocol keeps
+      // consistent.
     }
   }
 }
 
-// ---- serving-thread mutation API --------------------------------------------
-
-core::QueryStats BackgroundCheckpointer::insert(const metadata::FileMetadata& f,
-                                                double arrival) {
-  if (sharded_) {
-    // The append fires under the routed unit's lock (shard log order ==
-    // that unit's apply order); the group-commit fsync runs from the
-    // flush hook after that lock is released, so it stalls only this
-    // shard's writers.
-    return store_.insert_file(
-        f, arrival,
-        [this, &f](core::UnitId target) {
-          return sharded_->append_insert(target, f);
-        },
-        [this](core::UnitId target) { sharded_->maybe_commit(target); });
-  }
-  const util::MutexLock lock(mu_);
-  wal_->log_insert(f);
-  return store_.insert_file(f, arrival);
+bool BackgroundCheckpointer::over_budget() const {
+  const std::uint64_t len = engine_.chain_len();
+  const std::uint64_t bytes = engine_.chain_bytes();
+  return (max_chain_len_ > 0 && len > max_chain_len_) ||
+         (max_chain_bytes_ > 0 && bytes > max_chain_bytes_);
 }
 
-bool BackgroundCheckpointer::erase(const std::string& name) {
-  if (sharded_) {
-    return store_.erase_file(
-        name,
-        [this, &name](core::UnitId located) {
-          return sharded_->append_remove(located, name);
-        },
-        [this](core::UnitId located) { sharded_->maybe_commit(located); });
-  }
-  const util::MutexLock lock(mu_);
-  const bool existed = store_.erase_file(name);
-  if (existed) wal_->log_remove(name);
-  return existed;
+void BackgroundCheckpointer::record(const DeltaCutStats& st) {
+  stats_ = st;
+  ++completed_;
+  total_mutations_ += st.mutations_during;
+  total_cow_ += st.cow_copies;
 }
 
-core::UnitId BackgroundCheckpointer::add_storage_unit() {
-  if (sharded_) {
-    return store_.add_storage_unit([this] { return sharded_->log_add_unit(); });
-  }
-  const util::MutexLock lock(mu_);
-  wal_->log_add_unit();
-  return store_.add_storage_unit();
-}
-
-void BackgroundCheckpointer::remove_storage_unit(core::UnitId u) {
-  if (sharded_) {
-    store_.remove_storage_unit(u, [this, u] { return sharded_->log_remove_unit(u); });
-    return;
-  }
-  const util::MutexLock lock(mu_);
-  wal_->log_remove_unit(u);
-  store_.remove_storage_unit(u);
-}
-
-std::size_t BackgroundCheckpointer::autoconfigure(
-    const std::vector<metadata::AttrSubset>& candidates) {
-  if (sharded_) {
-    return store_.autoconfigure(
-        candidates, [this, &candidates] {
-          return sharded_->log_autoconfigure(candidates);
-        });
-  }
-  const util::MutexLock lock(mu_);
-  wal_->log_autoconfigure(candidates);
-  return store_.autoconfigure(candidates);
-}
-
-// ---- checkpoint control -----------------------------------------------------
-
-void BackgroundCheckpointer::set_delta(DeltaEngine* engine,
-                                       Compactor* compactor) {
-  if (engine && !sharded_) {
-    throw PersistError(
-        "BackgroundCheckpointer: delta mode requires the sharded-WAL "
-        "constructor (the delta engine cuts from shard logs)");
-  }
-  delta_engine_ = engine;
-  compactor_ = compactor;
-}
-
-bool BackgroundCheckpointer::trigger() {
+bool BackgroundCheckpointer::submit(std::function<void()> job) {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true,
                                         std::memory_order_acq_rel))
@@ -152,181 +58,44 @@ bool BackgroundCheckpointer::trigger() {
   // old future.
   if (inflight_.valid()) inflight_.get();
 
-  inflight_ = pool_.submit([this] {
+  inflight_ = pool_.submit([this, job = std::move(job)] {
     ClearRunning worker_guard{running_};
-    run_checkpoint();
+    job();
   });
   caller_guard.armed = false;  // the worker's guard owns the flag now
   return true;
+}
+
+bool BackgroundCheckpointer::trigger() {
+  return submit([this] {
+    record(engine_.cut());
+    if (over_budget()) {
+      ++folds_scheduled_;
+      record(engine_.fold());
+    }
+  });
+}
+
+DeltaCutStats BackgroundCheckpointer::checkpoint() {
+  wait();
+  const DeltaCutStats st = engine_.cut();
+  record(st);
+  if (over_budget() && submit([this] { record(engine_.fold()); }))
+    ++folds_scheduled_;
+  return st;
+}
+
+DeltaCutStats BackgroundCheckpointer::compact() {
+  wait();
+  const DeltaCutStats st = engine_.fold();
+  record(st);
+  return st;
 }
 
 bool BackgroundCheckpointer::wait() {
   if (!inflight_.valid()) return false;
   inflight_.get();  // rethrows the worker's failure
   return true;
-}
-
-void BackgroundCheckpointer::run_checkpoint() {
-  CheckpointStats st;
-  if (delta_engine_) {
-    run_checkpoint_delta(st);
-  } else if (sharded_) {
-    run_checkpoint_sharded(st);
-  } else {
-    run_checkpoint_single(st);
-  }
-  stats_ = st;
-  ++completed_;
-  total_mutations_ += st.mutations_during;
-  total_cow_ += st.cow_copies;
-}
-
-void BackgroundCheckpointer::run_checkpoint_delta(CheckpointStats& st) {
-  const DeltaCutStats d = delta_engine_->cut();
-  st.delta = true;
-  st.delta_folded = d.folded;
-  st.delta_records = d.delta_records;
-  st.delta_bytes = d.delta_bytes;
-  st.delta_units = d.units_contributing;
-  st.delta_units_cold = d.units_cold;
-  st.delta_chain_len = d.chain_len;
-  st.fence_records = d.delta_records;
-  st.write_s = d.seconds;
-  st.snapshot_bytes = d.folded ? d.base_bytes
-                               : static_cast<std::size_t>(d.delta_bytes);
-  // A cut never freezes, so there is no COW tax to report; a fold
-  // escalation ran the full protocol inside the engine.
-  if (compactor_) compactor_->maybe_schedule();
-}
-
-void BackgroundCheckpointer::run_checkpoint_single(CheckpointStats& st) {
-  // Step 1 — FREEZE. The fence must land at a mutation boundary: under
-  // mu_ no mutation is half-logged or half-applied, the commit makes every
-  // acknowledged record countable, and the epoch freeze starts exactly at
-  // the state those fence.records produced.
-  WalFence fence;
-  std::size_t fence_bytes = WalWriter::kNoByteHint;
-  {
-    const util::MutexLock lock(mu_);
-    util::WallTimer t;
-    wal_->commit();
-    fence = WalFence{wal_->generation(), wal_->committed_records(), true};
-    fence_bytes = wal_->committed_bytes();  // frontier offset, for O(tail)
-    st.epoch = store_.begin_checkpoint();   // truncation later
-    st.freeze_s = t.seconds();
-  }
-  st.fence_generation = fence.generation;
-  st.fence_records = fence.records;
-
-  // Step 2 — WRITE, concurrent with serving. Any failure (including an
-  // injected crash) must release the freeze so a surviving store stops
-  // paying the copy-on-write tax.
-  try {
-    util::WallTimer t;
-    save_snapshot_frozen(store_, snapshot_path(dir_), fence);
-    st.write_s = t.seconds();
-    std::error_code ec;
-    const auto sz =
-        std::filesystem::file_size(snapshot_path(dir_), ec);
-    if (!ec) st.snapshot_bytes = static_cast<std::size_t>(sz);
-  } catch (...) {
-    store_.end_checkpoint();
-    throw;
-  }
-
-  // Step 3 — TRUNCATE. The snapshot is published; dropping the fenced
-  // prefix (under the next generation) keeps the log equal to exactly
-  // what the snapshot does not contain.
-  {
-    const util::MutexLock lock(mu_);
-    util::WallTimer t;
-    try {
-      fault_point("bg:pre-rebase");
-      wal_->rebase(static_cast<std::size_t>(fence.records), fence_bytes);
-    } catch (...) {
-      store_.end_checkpoint();
-      throw;
-    }
-    st.tail_records = wal_->committed_records();
-    st.cow_copies = store_.checkpoint_cow_copies();
-    st.mutations_during = store_.mutation_epoch() - st.epoch;
-    store_.end_checkpoint();
-    st.truncate_s = t.seconds();
-  }
-}
-
-void BackgroundCheckpointer::run_checkpoint_sharded(CheckpointStats& st) {
-  // Step 1 — FREEZE. begin_checkpoint holds the store's exclusive
-  // structure lock: every writer is outside its operation, so committing
-  // all shards inside `while_frozen` captures the frontier vector at
-  // exactly the frozen mutation boundary — across every shard at once.
-  WalFence fence;
-  std::vector<std::size_t> fence_bytes;
-  {
-    util::WallTimer t;
-    st.epoch = store_.begin_checkpoint([&] {
-      fence = sharded_->frontier(&fence_bytes);
-      // A leftover single log (a deployment migrated from the PR-3
-      // layout) is subsumed by this snapshot too: fence it, or its stale
-      // records would replay over the published image on the next
-      // recover(). Nothing appends to it in sharded mode, so the frozen
-      // section is as good a scan point as any.
-      const std::string wp = wal_path(dir_);
-      if (std::filesystem::exists(wp)) {
-        try {
-          const WalScan scan = scan_wal(wp);
-          fence.generation = scan.generation;
-          fence.records = scan.records.size();
-        } catch (const PersistError&) {
-          // Not a WAL; recovery ignores it the same way.
-        }
-      }
-    });
-    st.freeze_s = t.seconds();
-  }
-  st.fence_shards = fence.shards.size();
-  for (const ShardFence& f : fence.shards) st.fence_records += f.records;
-
-  // Step 2 — WRITE, fully concurrent with the (multi-writer) serving path.
-  try {
-    util::WallTimer t;
-    save_snapshot_frozen(store_, snapshot_path(dir_), fence);
-    st.write_s = t.seconds();
-    std::error_code ec;
-    const auto sz = std::filesystem::file_size(snapshot_path(dir_), ec);
-    if (!ec) st.snapshot_bytes = static_cast<std::size_t>(sz);
-  } catch (...) {
-    store_.end_checkpoint();
-    throw;
-  }
-
-  // Step 3 — TRUNCATE, shard by shard: each rebase swaps under its own
-  // shard mutex, concurrent with live appends to every other shard. A
-  // crash mid-loop leaves fenced shards (generation match: prefix
-  // skipped) and rebased shards (generation changed: tail replays) —
-  // recovery is consistent either way.
-  {
-    util::WallTimer t;
-    try {
-      fault_point("bg:pre-rebase");
-      sharded_->rebase_to(fence, fence_bytes);
-      // The fenced legacy log (if any) is fully subsumed: empty it under
-      // a fresh generation so the fence needn't be carried forever.
-      const std::string wp = wal_path(dir_);
-      if (fence.records > 0 && std::filesystem::exists(wp))
-        write_empty_wal(wp, fresh_wal_generation());
-    } catch (...) {
-      store_.end_checkpoint();
-      throw;
-    }
-    for (const ShardFence& f : fence.shards)
-      st.tail_records +=
-          sharded_->committed_records(static_cast<std::size_t>(f.shard));
-    st.cow_copies = store_.checkpoint_cow_copies();
-    st.mutations_during = store_.mutation_epoch() - st.epoch;
-    store_.end_checkpoint();
-    st.truncate_s = t.seconds();
-  }
 }
 
 }  // namespace smartstore::persist

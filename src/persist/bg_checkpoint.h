@@ -1,177 +1,98 @@
-// Background checkpointing: snapshots a serving deployment without
-// stopping it, following the ARIES-style fuzzy-checkpoint discipline —
-// snapshot concurrently from a frozen view, fence with the log, prove by
-// replay.
+// The one background slot for checkpoint work over a DeltaEngine.
 //
-// The protocol, per checkpoint:
+// Every checkpoint is a delta cut or a fold (persist/delta_checkpoint.h);
+// this class decides only WHERE each runs and keeps at most one job in
+// flight on the pool:
 //
-//   1. FREEZE (serving thread excluded for O(1) work): commit the WAL so
-//      every acknowledged mutation is durable and countable, record the
-//      fence (generation, committed records), begin_checkpoint() on the
-//      store — the epoch freeze that makes later mutations copy still-
-//      unserialized pieces on first write.
-//   2. WRITE (fully concurrent): a thread-pool worker serializes the
-//      frozen view piece by piece while the serving thread keeps mutating
-//      and appending to the WAL, then publishes the snapshot atomically
-//      (temp + rename + directory fsync) with the fence inside it.
-//   3. TRUNCATE (serving thread excluded briefly): rebase the WAL — drop
-//      the fenced prefix the snapshot subsumes, keep the live tail under
-//      the next generation — and end_checkpoint().
+//   * trigger() — the cadence action: a cut in the slot, followed in the
+//     same job by a fold when the chain is past its budget;
+//   * checkpoint() — an explicit cut on the caller's thread, returning
+//     once the cut is published; a fold the budget then calls for is
+//     scheduled into the slot;
+//   * compact() — an explicit fold on the caller's thread.
 //
-// Crash-ordering invariants (what the crash-injection suite asserts):
-//   * before the snapshot rename, the old snapshot + full log pair is
-//     intact, so recovery replays everything on the old image;
-//   * between the rename and the WAL rebase, the new snapshot's fence
-//     (generation match) suppresses replay of exactly the records it
-//     subsumes, so nothing applies twice;
-//   * after the rebase, the generation changed, so the fence matches
-//     nothing and the whole remaining tail replays on the new image.
-//   In every window, every acknowledged write is in the snapshot, the
-//   log, or both — never neither.
+// The explicit calls drain the slot first (rethrowing its failure), and
+// the engine's own mutex serializes a slot fold against any later cut,
+// so no two publish steps ever interleave.
 //
-// Threading contract: with the single-log constructor, all mutations go
-// through this object's mutation API on ONE serving thread (the PR-3
-// contract — the log has a single append point). With the sharded-WAL
-// constructor, ANY NUMBER of serving threads may call the mutation API
-// concurrently: logging rides the store's own WAL hooks (per-unit record
-// under the target unit's stripe, structural record under the exclusive
-// structure lock), the freeze captures the per-shard frontier vector
-// inside the store's exclusive section, and the truncate rebases shard by
-// shard, concurrent with live appends to the others. The checkpoint runs
-// on one pool worker either way; queries may keep running throughout.
+// Threading contract: trigger/checkpoint/compact/wait must not race each
+// other (the db facade serializes them under its checkpoint mutex — two
+// threads get()ing one std::future is a data race). The stats accessors
+// read plain fields: read them after wait().
 #pragma once
 
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <future>
-#include <mutex>
-#include <string>
-#include <vector>
 
-#include "core/smartstore.h"
-#include "persist/compactor.h"
 #include "persist/delta_checkpoint.h"
-#include "persist/wal.h"
-#include "persist/wal_shard.h"
-#include "util/annotated_mutex.h"
 #include "util/thread_pool.h"
 
 namespace smartstore::persist {
 
-struct CheckpointStats {
-  std::uint64_t epoch = 0;           ///< store mutation epoch at freeze
-  std::uint64_t fence_generation = 0;  ///< single-log mode only
-  std::uint64_t fence_records = 0;   ///< WAL prefix the snapshot subsumes
-                                     ///< (sharded: summed across shards)
-  std::uint64_t fence_shards = 0;    ///< shards in the frontier vector
-  std::uint64_t tail_records = 0;    ///< records rebased into the next log
-  std::uint64_t cow_copies = 0;      ///< pieces copied on write during it
-  std::uint64_t mutations_during = 0;  ///< epoch delta while writing
-  double freeze_s = 0;               ///< serving threads excluded (step 1)
-  double write_s = 0;                ///< concurrent serialization (step 2)
-  double truncate_s = 0;             ///< per-shard rebase (step 3)
-  std::size_t snapshot_bytes = 0;
-  // Delta mode (an attached DeltaEngine ran the cadence action):
-  bool delta = false;                ///< this checkpoint was a delta cut
-  bool delta_folded = false;         ///< ...that escalated to a full fold
-  std::uint64_t delta_records = 0;   ///< records captured into segments
-  std::uint64_t delta_bytes = 0;     ///< segment bytes appended
-  std::uint64_t delta_units = 0;     ///< units that contributed an extent
-  std::uint64_t delta_units_cold = 0;  ///< fenced units with nothing new
-  std::uint64_t delta_chain_len = 0;   ///< chain length after the cut
-};
-
 class BackgroundCheckpointer {
  public:
-  /// Single-log mode. `store` and `wal` must outlive the checkpointer;
-  /// `wal` must be the log at wal_path(dir) so snapshot fences and rebases
-  /// pair with it. `pool` supplies the worker the snapshot is written on.
-  BackgroundCheckpointer(core::SmartStore& store, std::string dir,
-                         WalWriter& wal, util::ThreadPool& pool);
+  /// A fold is due when the chain exceeds `max_chain_len` cuts OR
+  /// `max_chain_bytes` delta bytes (0 disables that trigger; both 0
+  /// disables budget folds entirely — compact() still works). `engine`
+  /// and `pool` must outlive this object.
+  BackgroundCheckpointer(DeltaEngine& engine, util::ThreadPool& pool,
+                         std::size_t max_chain_len,
+                         std::uint64_t max_chain_bytes);
 
-  /// Sharded multi-writer mode: durability through one WAL shard per
-  /// storage unit under dir/wal/. Same ownership rules.
-  BackgroundCheckpointer(core::SmartStore& store, std::string dir,
-                         ShardedWal& wal, util::ThreadPool& pool);
-
-  /// Waits for an in-flight checkpoint (swallowing its error — use wait()
-  /// to observe failures before destruction).
+  /// Waits for the in-flight job (swallowing its error — use wait() to
+  /// observe failures before destruction).
   ~BackgroundCheckpointer();
 
   BackgroundCheckpointer(const BackgroundCheckpointer&) = delete;
   BackgroundCheckpointer& operator=(const BackgroundCheckpointer&) = delete;
 
-  // ---- serving-thread mutation API ---------------------------------------
-  // Write-ahead order: each mutation is logged, then applied — except
-  // erase(), which must locate the file first and logs only on success.
-  // That reversal is safe because the log record and the apply happen
-  // under the same unit stripe: a crash inside the window loses both
-  // together, and the caller never saw the delete acknowledged. In
-  // single-log mode the internal mutex serializes these against the
-  // freeze/truncate steps; in sharded mode the store's own locks do (the
-  // mutation API is then safe from any number of threads).
-
-  core::QueryStats insert(const metadata::FileMetadata& f,
-                          double arrival = 0.0);
-  /// Authoritative erase (core::SmartStore::erase_file); logged only when
-  /// the file existed. Returns whether it did.
-  bool erase(const std::string& name);
-  core::UnitId add_storage_unit();
-  void remove_storage_unit(core::UnitId u);
-  std::size_t autoconfigure(
-      const std::vector<metadata::AttrSubset>& candidates);
-
-  // ---- checkpoint control -------------------------------------------------
-
-  /// Switches the cadence action to incremental mode (sharded constructor
-  /// only): trigger() then takes a delta CUT through `engine` instead of
-  /// writing a full image, and — when `compactor` is non-null — lets it
-  /// schedule a background fold after each cut that leaves the chain over
-  /// budget. Both must outlive this object. Call before the first
-  /// trigger(); not thread-safe against an in-flight checkpoint.
-  void set_delta(DeltaEngine* engine, Compactor* compactor);
-
-  /// Starts a checkpoint on the pool. Returns false (and does nothing)
-  /// when one is already in flight.
+  /// Starts a cut (plus a budget fold) in the slot. Returns false (and
+  /// does nothing) when a job is already in flight.
   bool trigger();
 
-  /// Blocks until the in-flight checkpoint (if any) finishes; rethrows the
-  /// worker's exception. Returns true when a checkpoint actually ran.
+  /// Cuts on the caller's thread after draining the slot; schedules a
+  /// fold into the slot when the chain is now over budget.
+  DeltaCutStats checkpoint();
+
+  /// Folds on the caller's thread after draining the slot.
+  DeltaCutStats compact();
+
+  /// Blocks until the in-flight job (if any) finishes; rethrows its
+  /// failure. Returns true when a job actually ran.
   bool wait();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Stats of the last checkpoint that completed successfully.
-  const CheckpointStats& last_stats() const { return stats_; }
+  /// Stats of the last cut or fold that completed.
+  const DeltaCutStats& last_stats() const { return stats_; }
+  /// Cuts and folds completed through this object (no-op cuts included).
   std::uint64_t completed() const { return completed_; }
-  /// Accumulated over every completed checkpoint (read after wait()).
+  /// Accumulated over every fold (the cuts never freeze).
   std::uint64_t total_mutations_during() const { return total_mutations_; }
   std::uint64_t total_cow_copies() const { return total_cow_; }
+  /// Folds the budget sent to the slot.
+  std::uint64_t folds_scheduled() const { return folds_scheduled_; }
 
  private:
-  void run_checkpoint();
-  void run_checkpoint_single(CheckpointStats& st);
-  void run_checkpoint_sharded(CheckpointStats& st);
-  void run_checkpoint_delta(CheckpointStats& st);
+  bool over_budget() const;
+  void record(const DeltaCutStats& st);
+  /// Single-flight submit: false when a job is already in flight.
+  bool submit(std::function<void()> job);
 
-  core::SmartStore& store_;
-  std::string dir_;
-  WalWriter* wal_ = nullptr;        ///< single-log mode
-  ShardedWal* sharded_ = nullptr;   ///< sharded multi-writer mode
-  DeltaEngine* delta_engine_ = nullptr;  ///< incremental cadence action
-  Compactor* compactor_ = nullptr;       ///< fold scheduling after cuts
+  DeltaEngine& engine_;
   util::ThreadPool& pool_;
+  std::size_t max_chain_len_;
+  std::uint64_t max_chain_bytes_;
 
-  /// Single-log mode: mutations vs. freeze/truncate. Ranked above the
-  /// lifecycle/db-checkpoint locks and below every store lock — it is held
-  /// across whole store mutations (which take shape → unit → stripe
-  /// underneath).
-  util::Mutex mu_{util::LockRank::kCheckpointCoord};
   std::atomic<bool> running_{false};
   std::future<void> inflight_;
-  CheckpointStats stats_;
+  DeltaCutStats stats_;
   std::uint64_t completed_ = 0;
   std::uint64_t total_mutations_ = 0;
   std::uint64_t total_cow_ = 0;
+  std::uint64_t folds_scheduled_ = 0;
 };
 
 }  // namespace smartstore::persist

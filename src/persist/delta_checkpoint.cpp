@@ -32,33 +32,27 @@ bool DeltaEngine::ensure_manifest_locked() {
     loaded_ = true;
     return true;
   }
-
-  // No manifest yet. An existing full image can be adopted as the chain's
-  // base — its WALFENCE says which WAL prefix it already contains — but
-  // only when no pre-sharding wal.bin carries live records: legacy records
-  // replay BEFORE the sharded stream, while a delta chain would apply them
-  // after the base, so their order cannot be expressed as a chain link.
+  // No manifest yet: an existing full image is adopted as the chain's
+  // base — its WALFENCE says which shard-log prefix it already contains.
+  // (A live legacy wal.bin never reaches here: Open folds it away first.)
   const std::string sp = snapshot_path(dir_);
   std::error_code ec;
   if (!fs::exists(sp, ec)) return false;  // fresh store: fold
-  const WalFence base_fence = read_snapshot_fence(sp);
-  const std::string wp = wal_path(dir_);
-  if (fs::exists(wp, ec)) {
-    try {
-      const WalScan scan = scan_wal(wp);
-      std::size_t covered = 0;
-      if (base_fence.present && base_fence.generation == scan.generation)
-        covered = static_cast<std::size_t>(std::min<std::uint64_t>(
-            base_fence.records, scan.records.size()));
-      if (scan.records.size() > covered) return false;  // live legacy tail
-    } catch (const PersistError&) {
-      // Not a WAL; recovery ignores it the same way.
-    }
-  }
   manifest_ = DeltaManifest{};
   manifest_.base_kind = BaseKind::kLegacySnapshot;
-  manifest_.fence = base_fence;
+  manifest_.fence = read_snapshot_fence(sp);
   loaded_ = true;  // adopted in memory; the first cut publishes it
+  return true;
+}
+
+bool DeltaEngine::base_image(std::string* path, std::uint64_t* bytes) {
+  const util::MutexLock lock(mu_);
+  if (!ensure_manifest_locked()) return false;
+  *path = base_image_path(dir_, manifest_);
+  std::error_code ec;
+  const auto sz = fs::file_size(*path, ec);
+  if (ec) return false;
+  *bytes = static_cast<std::uint64_t>(sz);
   return true;
 }
 
@@ -83,16 +77,14 @@ DeltaCutStats DeltaEngine::cut() {
   WalFence fence;
   std::vector<std::size_t> fence_bytes;
   std::uint64_t cut_seq = 0;
+  util::WallTimer freeze;
   store_.mutation_barrier([&] {
     fence = wal_.frontier(&fence_bytes);
     cut_seq = store_.last_commit_seq();
   });
-  // The frontier's legacy pair is empty; the chain keeps fencing whatever
-  // prefix of a leftover wal.bin its base already covers.
-  fence.generation = manifest_.fence.generation;
-  fence.records = manifest_.fence.records;
 
   DeltaCutStats st;
+  st.freeze_s = freeze.seconds();
   st.cut_seq = cut_seq;
   DeltaCut cutrec;
   cutrec.cut_id = manifest_.next_cut_id();
@@ -154,7 +146,9 @@ DeltaCutStats DeltaEngine::cut() {
   // (generation match) makes recovery — and the next cut — skip exactly
   // the records the new delta carries.
   fault_point("delta:pre-rebase");
+  util::WallTimer rebase;
   wal_.rebase_to(fence, fence_bytes);
+  st.rebase_s = rebase.seconds();
 
   st.chain_len = manifest_.cuts.size();
   st.chain_bytes = manifest_.delta_bytes();
@@ -182,32 +176,21 @@ DeltaCutStats DeltaEngine::fold_locked() {
   std::error_code ec;
   fs::create_directories(ckpt_dir(dir_), ec);
 
-  // The classic fuzzy-checkpoint protocol, targeting ckpt/base-<id> and a
-  // manifest instead of snapshot.bin: FREEZE (frontier inside the
-  // exclusive section), WRITE (concurrent, epoch-freeze/COW, GC watermark
-  // captured by the frozen core), PUBLISH+TRUNCATE.
+  // FREEZE: the frontier lands inside the exclusive section, so the image
+  // contains exactly the records it fences.
   WalFence fence;
   std::vector<std::size_t> fence_bytes;
   std::uint64_t cut_seq = 0;
-  store_.begin_checkpoint([&] {
+  util::WallTimer freeze;
+  const std::uint64_t epoch = store_.begin_checkpoint([&] {
     fence = wal_.frontier(&fence_bytes);
     cut_seq = store_.last_commit_seq();
-    // A leftover pre-sharding wal.bin is subsumed by the full image too:
-    // fence it, or its stale records would replay over base-<id> on the
-    // next recover().
-    const std::string wp = wal_path(dir_);
-    if (fs::exists(wp)) {
-      try {
-        const WalScan scan = scan_wal(wp);
-        fence.generation = scan.generation;
-        fence.records = scan.records.size();
-      } catch (const PersistError&) {
-        // Not a WAL; recovery ignores it the same way.
-      }
-    }
   });
+  st.freeze_s = freeze.seconds();
   st.cut_seq = cut_seq;
 
+  // WRITE + PUBLISH + REBASE. Any failure (an injected crash included)
+  // must release the freeze so a surviving store stops paying the COW tax.
   try {
     const std::string base = base_path(dir_, next_id);
     save_snapshot_frozen(store_, base, fence);
@@ -227,14 +210,15 @@ DeltaCutStats DeltaEngine::fold_locked() {
     folds_.fetch_add(1, std::memory_order_relaxed);
 
     fault_point("compact:pre-rebase");
+    util::WallTimer rebase;
     wal_.rebase_to(fence, fence_bytes);
-    const std::string wp = wal_path(dir_);
-    if (fence.records > 0 && fs::exists(wp))
-      write_empty_wal(wp, fresh_wal_generation());
+    st.rebase_s = rebase.seconds();
   } catch (...) {
     store_.end_checkpoint();
     throw;
   }
+  st.cow_copies = store_.checkpoint_cow_copies();
+  st.mutations_during = store_.mutation_epoch() - epoch;
   store_.end_checkpoint();
 
   // Superseded state: older bases, every segment (the chain is empty),
@@ -249,19 +233,15 @@ DeltaCutStats DeltaEngine::fold_locked() {
 std::unique_ptr<core::SmartStore> DeltaEngine::reconstruct_at_last_cut(
     std::uint64_t* seq_out) {
   const util::MutexLock lock(mu_);
-  // Read disk, not the cache: a quiesced full checkpoint may have removed
-  // or rewritten the layout since the last cut.
-  const DeltaManifest m = read_manifest(dir_);
-  std::unique_ptr<core::SmartStore> store = load_delta_base(dir_, m, nullptr);
-  if (seq_out) *seq_out = m.last_cut_seq;
+  // The engine is the directory's only checkpoint writer, so its cached
+  // manifest is exactly what is on disk.
+  if (!ensure_manifest_locked())
+    throw PersistError("no checkpoint to reconstruct in " + dir_,
+                       PersistError::Code::kNotFound);
+  std::unique_ptr<core::SmartStore> store =
+      load_delta_base(dir_, manifest_, nullptr);
+  if (seq_out) *seq_out = manifest_.last_cut_seq;
   return store;
-}
-
-void DeltaEngine::invalidate() {
-  const util::MutexLock lock(mu_);
-  loaded_ = false;
-  manifest_ = DeltaManifest{};
-  publish_stats_locked(manifest_);
 }
 
 }  // namespace smartstore::persist

@@ -1,5 +1,6 @@
-// The incremental-checkpoint engine: WAL-delta cuts and compaction folds
-// over the on-disk layout in persist/segment.h.
+// The checkpoint engine: WAL-delta cuts and compaction folds over the
+// on-disk layout in persist/segment.h. These two operations are the only
+// code that writes checkpoint state.
 //
 // A *cut* is the cheap, frequent operation. Inside one store mutation
 // barrier (exclusive structure lock, NO freeze/COW) it commits every WAL
@@ -11,24 +12,26 @@
 // A unit with no records since the previous cut contributes nothing; a
 // wholly cold store makes the cut a no-op (no manifest write, no rebase).
 //
-// A *fold* is the compaction: the classic fuzzy-checkpoint protocol
-// (persist/bg_checkpoint.h) writing a fresh FULL image to ckpt/base-<id>,
-// published under a manifest with an EMPTY chain — concurrent with live
-// traffic via the store's epoch-freeze/COW, honoring the MVCC GC
-// watermark the frozen core captures. Superseded bases and segments are
-// pruned afterwards. The engine escalates a cut to a fold on its own when
-// there is no usable base to chain from: a never-checkpointed store, or a
-// leftover pre-sharding wal.bin with live records (whose replay order
-// cannot be expressed as a delta chain).
+// A *fold* is the compaction, and the full image: the fuzzy-checkpoint
+// protocol — FREEZE (frontier inside begin_checkpoint's exclusive
+// section), WRITE (concurrent, epoch-freeze/COW, honoring the MVCC GC
+// watermark the frozen core captures), PUBLISH+REBASE — writing a fresh
+// image to ckpt/base-<id> under a manifest with an EMPTY chain.
+// Superseded bases, segments and an adopted snapshot.bin are pruned
+// afterwards. A store whose mutations bypass the WAL can only checkpoint
+// by folding: a cut sees nothing it did not log. The engine escalates a
+// cut to a fold on its own when there is no base to chain from (a
+// never-checkpointed store); a legacy snapshot.bin is adopted as the
+// chain's base instead.
 //
 // Crash windows (the crash-injection suite sweeps every publish stage):
 //   * before the manifest publish: at worst orphan segment bytes past the
 //     previous manifest's known end — invisible to recovery, truncated by
-//     the next cut;
+//     the next cut — or an unreferenced base image;
 //   * between publish and rebase: the manifest fence matches the shard
-//     generations, so recovery skips exactly the records the new delta
-//     carries (and the next cut skips the same prefix) — nothing applies
-//     twice;
+//     generations, so recovery skips exactly the records the new delta (or
+//     base) carries, and the next cut skips the same prefix — nothing
+//     applies twice;
 //   * after the rebase: generations changed, the whole remaining tail
 //     replays over base + deltas.
 // In every window each acknowledged write is in the base, a delta, or the
@@ -58,17 +61,21 @@ struct DeltaCutStats {
   std::uint64_t chain_len = 0;        ///< cuts in the chain afterwards
   std::uint64_t chain_bytes = 0;      ///< delta bytes in the chain afterwards
   std::size_t base_bytes = 0;         ///< fold only: size of the new image
+  std::uint64_t cow_copies = 0;       ///< fold only: pieces copied on write
+  std::uint64_t mutations_during = 0; ///< fold only: epoch delta while writing
+  double freeze_s = 0;                ///< serving threads excluded
+  double rebase_s = 0;                ///< per-shard WAL rebase
   double seconds = 0;
 };
 
 /// One engine per deployment directory; every cut and fold serializes on
-/// its internal mutex (rank kCompactor — legal to hold across the store's
+/// its internal mutex (rank kDeltaEngine — legal to hold across the store's
 /// structure/freeze locks), so a scheduled background fold and a cadence
 /// cut can never interleave their publish steps.
 class DeltaEngine {
  public:
-  /// `store` and `wal` must outlive the engine; `wal` must own
-  /// <dir>/wal/ (same pairing rule as the background checkpointer).
+  /// `store` and `wal` must outlive the engine; `wal` must own <dir>/wal/
+  /// (every fence and rebase pairs with that directory's shard logs).
   DeltaEngine(core::SmartStore& store, ShardedWal& wal, std::string dir);
 
   DeltaEngine(const DeltaEngine&) = delete;
@@ -86,15 +93,10 @@ class DeltaEngine {
   /// manifest's base + delta chain only — no WAL scan, so it is immune to
   /// concurrent appends. Replication bootstrap uses it to ship a
   /// snapshot-at-cut without freezing the serving store. Throws
-  /// PersistError kNotFound when no manifest exists; `seq_out` (optional)
-  /// receives the chain's last cut seq.
+  /// PersistError kNotFound when nothing was ever checkpointed; `seq_out`
+  /// (optional) receives the chain's last cut seq.
   std::unique_ptr<core::SmartStore> reconstruct_at_last_cut(
       std::uint64_t* seq_out = nullptr);
-
-  /// Drops the cached manifest so the next cut re-reads disk. The db
-  /// facade calls this after a quiesced full checkpoint removed the
-  /// incremental state out from under the engine.
-  void invalidate();
 
   // ---- introspection (safe from any thread) -------------------------------
 
@@ -119,9 +121,15 @@ class DeltaEngine {
 
   const std::string& dir() const { return dir_; }
 
+  /// The base image the chain builds on (ckpt/base-<id>.bin, or an adopted
+  /// snapshot.bin) and its size, both read under the engine mutex so a
+  /// concurrent fold cannot prune the file in between. False when nothing
+  /// was ever checkpointed.
+  bool base_image(std::string* path, std::uint64_t* bytes);
+
  private:
-  /// Loads (or adopts) the manifest; returns false when the chain cannot
-  /// be continued and the caller must fold instead.
+  /// Loads the manifest, or adopts snapshot.bin as the chain's base;
+  /// returns false when there is no base and the caller must fold.
   bool ensure_manifest_locked() SS_REQUIRES(mu_);
   DeltaCutStats fold_locked() SS_REQUIRES(mu_);
   void publish_stats_locked(const DeltaManifest& m) SS_REQUIRES(mu_);
@@ -130,9 +138,9 @@ class DeltaEngine {
   ShardedWal& wal_;
   std::string dir_;
 
-  /// Serializes cut/fold end to end. kCompactor ranks below every store
+  /// Serializes cut/fold end to end. kDeltaEngine ranks below every store
   /// lock, so holding it across mutation_barrier/begin_checkpoint is legal.
-  mutable util::Mutex mu_{util::LockRank::kCompactor};
+  mutable util::Mutex mu_{util::LockRank::kDeltaEngine};
   bool loaded_ SS_GUARDED_BY(mu_) = false;
   DeltaManifest manifest_ SS_GUARDED_BY(mu_);
 

@@ -3,12 +3,13 @@
 // Every durability-relevant boundary in src/persist/ — each snapshot
 // section, each stage of an atomic file publish (partial temp, pre-rename,
 // pre-dir-fsync), each WAL commit block (including a torn half-written
-// block) and each WAL rebase stage — calls fault_point(). Tests arm a
+// block), each segment append stage, and the rebase and prune steps of a
+// delta cut or fold — calls fault_point(). Tests arm a
 // countdown; when the armed point is reached a FaultInjected exception
 // unwinds the writer mid-operation, leaving the on-disk files in exactly
 // the state a power cut at that instant would: the crash-injection suite
 // then asserts recover() lands on a consistent prefix from *any* of these
-// states.
+// states, and that its sweeps together cross every point declared here.
 //
 // Disarmed cost is one relaxed atomic increment per fault point, so the
 // hooks stay compiled into production binaries (the CLI exposes them via
@@ -53,15 +54,11 @@ void fault_point(const char* where);
 /// scan sees the tear), "<prefix>:pre-rename" with the full temp
 /// unpublished, "<prefix>:pre-dirsync" after the rename but before the
 /// directory entry is durable. Every temp+rename publish in src/persist/
-/// (snapshot images, WAL rebase and upgrade) goes through this one
-/// implementation, so their crash behavior cannot drift. It deliberately
-/// mirrors util::write_file_atomic rather than wrapping it — util/ stays
-/// free of persist dependencies, and the fault hooks need to fire inside
-/// the write. The one publish NOT routed here is write_empty_wal's
-/// in-place truncation (WalWriter::reset), which has no temp/rename
-/// stages; its sole crash window (a short header) is covered by
-/// scan_wal's torn-creation handling and the "wal:reset:pre-truncate"
-/// point.
+/// (snapshot images, the delta manifest, WAL rebases) goes through this
+/// one implementation, so their crash behavior cannot drift. It
+/// deliberately mirrors util::write_file_atomic rather than wrapping it —
+/// util/ stays free of persist dependencies, and the fault hooks need to
+/// fire inside the write.
 void write_file_atomic_faulted(const std::string& path,
                                const std::vector<std::uint8_t>& bytes,
                                const std::string& fault_prefix);

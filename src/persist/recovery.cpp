@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "persist/fault.h"
+#include "util/binary_io.h"
 
 namespace smartstore::persist {
 
@@ -53,16 +54,54 @@ std::size_t replay(core::SmartStore& store, const WalScan& scan) {
   return scan.records.size();
 }
 
+namespace {
+
+/// Scans every shard log under <dir>/wal/, drops each shard's fenced
+/// prefix (matching generations only — a rebased shard replays in full),
+/// then merges by the store-wide sequence number back into one mutation
+/// order and replays.
+void replay_shard_logs(core::SmartStore& store, const std::string& dir,
+                       const WalFence& fence, RecoveryResult& res) {
+  const std::string sdir = ShardedWal::shard_dir(dir);
+  std::error_code ec;
+  if (!std::filesystem::is_directory(sdir, ec)) return;
+  std::vector<WalRecord> merged;
+  for (const auto& entry : std::filesystem::directory_iterator(sdir)) {
+    std::uint64_t shard_id = 0;
+    if (!ShardedWal::parse_shard_id(entry.path(), &shard_id)) continue;
+    WalScan shard_scan = scan_wal(entry.path().string());
+    std::size_t shard_skip = 0;
+    for (const ShardFence& f : fence.shards) {
+      if (f.shard == shard_id && f.generation == shard_scan.generation) {
+        shard_skip = static_cast<std::size_t>(std::min<std::uint64_t>(
+            f.records, shard_scan.records.size()));
+        break;
+      }
+    }
+    res.wal_blocks += shard_scan.blocks;
+    res.wal_fenced += shard_skip;
+    res.wal_tail_torn = res.wal_tail_torn || shard_scan.torn_tail;
+    ++res.wal_shards;
+    for (std::size_t i = shard_skip; i < shard_scan.records.size(); ++i)
+      merged.push_back(std::move(shard_scan.records[i]));
+  }
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const WalRecord& a, const WalRecord& b) {
+                     return a.seq < b.seq;
+                   });
+  for (const WalRecord& rec : merged) apply_record(store, rec);
+  res.wal_records += merged.size();
+}
+
+}  // namespace
+
 void replay_dir_logs(core::SmartStore& store, const std::string& dir,
                      const WalFence& fence, RecoveryResult& res) {
-  // Legacy single log first (a deployment that migrated to the sharded
-  // layout may still carry an emptied wal.bin alongside the shard dir).
+  // Legacy single log first: its records predate every sharded one.
   const WalScan scan = scan_wal(wal_path(dir));
   std::size_t skip = 0;
   if (fence.present && fence.generation == scan.generation) {
-    // Records the snapshot's fence covers are already reflected in it;
-    // this is the crash window between "snapshot renamed" and "WAL
-    // emptied".
+    // Records the snapshot's fence covers are already reflected in it.
     skip = static_cast<std::size_t>(
         std::min<std::uint64_t>(fence.records, scan.records.size()));
   }
@@ -72,58 +111,26 @@ void replay_dir_logs(core::SmartStore& store, const std::string& dir,
   res.wal_records += scan.records.size() - skip;
   res.wal_fenced += skip;
   res.wal_tail_torn = res.wal_tail_torn || scan.torn_tail;
+  replay_shard_logs(store, dir, fence, res);
+}
 
-  // Sharded logs: scan every shard, drop each shard's fenced prefix
-  // (matching generations only — a rebased shard replays in full), then
-  // merge by the store-wide sequence number back into one mutation order.
-  const std::string sdir = ShardedWal::shard_dir(dir);
-  std::error_code ec;
-  if (std::filesystem::is_directory(sdir, ec)) {
-    std::vector<WalRecord> merged;
-    for (const auto& entry : std::filesystem::directory_iterator(sdir)) {
-      std::uint64_t shard_id = 0;
-      if (!ShardedWal::parse_shard_id(entry.path(), &shard_id)) continue;
-      WalScan shard_scan = scan_wal(entry.path().string());
-      std::size_t shard_skip = 0;
-      for (const ShardFence& f : fence.shards) {
-        if (f.shard == shard_id && f.generation == shard_scan.generation) {
-          shard_skip = static_cast<std::size_t>(std::min<std::uint64_t>(
-              f.records, shard_scan.records.size()));
-          break;
-        }
-      }
-      res.wal_blocks += shard_scan.blocks;
-      res.wal_fenced += shard_skip;
-      res.wal_tail_torn = res.wal_tail_torn || shard_scan.torn_tail;
-      ++res.wal_shards;
-      for (std::size_t i = shard_skip; i < shard_scan.records.size(); ++i)
-        merged.push_back(std::move(shard_scan.records[i]));
-    }
-    // Stable: records upgraded from unsequenced logs (seq 0) keep their
-    // per-shard order at the front.
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const WalRecord& a, const WalRecord& b) {
-                       return a.seq < b.seq;
-                     });
-    for (const WalRecord& rec : merged) apply_record(store, rec);
-    res.wal_records += merged.size();
-  }
+std::string base_image_path(const std::string& dir, const DeltaManifest& m) {
+  return m.base_kind == BaseKind::kLegacySnapshot ? snapshot_path(dir)
+                                                  : base_path(dir, m.base_id);
 }
 
 std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
                                                   const DeltaManifest& m,
                                                   RecoveryResult* res) {
-  const std::string base = m.base_kind == BaseKind::kLegacySnapshot
-                               ? snapshot_path(dir)
-                               : base_path(dir, m.base_id);
-  std::unique_ptr<core::SmartStore> store = load_snapshot(base);
+  std::unique_ptr<core::SmartStore> store =
+      load_snapshot(base_image_path(dir, m));
   std::vector<WalRecord> merged;
   for (const DeltaCut& c : m.cuts)
     for (const DeltaExtent& e : c.extents) read_segment_extent(dir, e, &merged);
   // The global merge across cuts is sound: each cut's barrier strictly
   // separates seq draws, so every record of cut N precedes every record
   // of cut N+1 — sorting across the whole chain reproduces the exact live
-  // mutation order, exactly as replay_dir_logs does for shard tails.
+  // mutation order, exactly as replay_shard_logs does for shard tails.
   std::stable_sort(merged.begin(), merged.end(),
                    [](const WalRecord& a, const WalRecord& b) {
                      return a.seq < b.seq;
@@ -138,15 +145,15 @@ std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
 
 RecoveryResult recover(const std::string& dir) {
   RecoveryResult res;
-  WalFence fence;
   if (manifest_exists(dir)) {
     const DeltaManifest m = read_manifest(dir);
     res.store = load_delta_base(dir, m, &res);
-    fence = m.fence;
     res.used_manifest = true;
-  } else {
-    res.store = load_snapshot(snapshot_path(dir), &fence);
+    replay_shard_logs(*res.store, dir, m.fence, res);
+    return res;
   }
+  WalFence fence;
+  res.store = load_snapshot(snapshot_path(dir), &fence);
   replay_dir_logs(*res.store, dir, fence, res);
   return res;
 }
@@ -187,110 +194,11 @@ db::Status recover(const std::string& dir, RecoveryResult* out) noexcept {
   }
 }
 
-void checkpoint(const core::SmartStore& store, const std::string& dir,
-                WalWriter* wal) {
-  std::filesystem::create_directories(dir);
-
-  // Only this directory's log is subsumed by the snapshot about to be
-  // written. A live writer is used when it owns that log; a writer logging
-  // into a different directory is left untouched — its records pair with
-  // *that* directory's snapshot, and emptying it would lose them.
+void remove_legacy_wal(const std::string& dir) {
   const std::string wp = wal_path(dir);
   std::error_code ec;
-  const bool owns_log =
-      wal && std::filesystem::weakly_canonical(wal->path(), ec) ==
-                 std::filesystem::weakly_canonical(wp, ec);
-
-  // Fence before switching: note how much of the log the snapshot covers,
-  // so a crash between the snapshot rename and the WAL reset cannot make
-  // recovery replay those records twice.
-  WalFence fence;
-  std::uint64_t next_generation = 0;
-  if (owns_log) {
-    wal->commit();  // pending records become durable and countable
-    fence = {wal->generation(), wal->committed_records(), true};
-  } else if (std::filesystem::exists(wp)) {
-    try {
-      const WalScan scan = scan_wal(wp);
-      fence = {scan.generation, scan.records.size(), true};
-      next_generation = scan.generation + 1;
-    } catch (const PersistError&) {
-      // Not a WAL (junk from an interrupted copy, say): no fence; the file
-      // is about to be overwritten regardless.
-      next_generation = fresh_wal_generation();
-    }
-  }
-
-  save_snapshot(store, snapshot_path(dir), fence);
-
-  // Any incremental-checkpoint layout is superseded by the full image
-  // just published, and it must be gone BEFORE the WAL reset below: a
-  // manifest that outlived the truncation of the prefix its fence covers
-  // would recover a stale chain with no tail to catch it up. (Crashing
-  // between the rename and this removal is fine the other way around —
-  // the old manifest plus the still-intact log recovers the same state.)
-  fault_point("checkpoint:pre-ckpt-clear");
-  remove_ckpt_state(dir);
-
-  // The classic checkpoint crash window: snapshot published, log not yet
-  // emptied. The fence recorded above is what keeps this state consistent.
-  fault_point("checkpoint:pre-wal-reset");
-
-  if (owns_log) {
-    wal->reset();
-  } else if (std::filesystem::exists(wp)) {
-    write_empty_wal(wp, next_generation);  // stale records must not replay
-  }                                        // over the fresher snapshot
-
-  // A shard directory no writer owns is equally subsumed: remove it, or
-  // its stale records would replay over the fresher snapshot on the next
-  // recover() (the snapshot just written fences none of them).
-  const std::string sdir = ShardedWal::shard_dir(dir);
-  std::error_code sec;
-  if (std::filesystem::is_directory(sdir, sec))
-    std::filesystem::remove_all(sdir);
-}
-
-void checkpoint(const core::SmartStore& store, const std::string& dir,
-                ShardedWal& wal) {
-  std::filesystem::create_directories(dir);
-  std::error_code cec;
-  if (std::filesystem::weakly_canonical(wal.dir(), cec) !=
-      std::filesystem::weakly_canonical(ShardedWal::shard_dir(dir), cec)) {
-    throw PersistError("checkpoint: the sharded WAL must own " +
-                       ShardedWal::shard_dir(dir) + ", got " + wal.dir());
-  }
-
-  // Same fence-then-switch discipline as the single-log flavour, with the
-  // frontier taken across every shard (frontier() commits them all first).
-  WalFence fence = wal.frontier();
-  // A leftover single log (pre-migration deployments) is subsumed too; it
-  // must be FENCED in the snapshot, not merely emptied afterwards — a
-  // crash between the snapshot rename and the emptying below would
-  // otherwise replay its stale records over a snapshot that already
-  // contains them.
-  const std::string wp = wal_path(dir);
-  if (std::filesystem::exists(wp)) {
-    try {
-      const WalScan scan = scan_wal(wp);
-      fence.generation = scan.generation;
-      fence.records = scan.records.size();
-    } catch (const PersistError&) {
-      // Not a WAL; the overwrite below deals with it.
-    }
-  }
-  save_snapshot(store, snapshot_path(dir), fence);
-
-  // Same ordering as the single-log flavour: the superseded incremental
-  // layout goes after the snapshot publish, before the WAL reset.
-  fault_point("checkpoint:pre-ckpt-clear");
-  remove_ckpt_state(dir);
-
-  fault_point("checkpoint:pre-wal-reset");
-
-  wal.reset_all();
-  if (std::filesystem::exists(wp))
-    write_empty_wal(wp, fresh_wal_generation());
+  if (!std::filesystem::remove(wp, ec)) return;
+  util::fsync_parent_dir(wp);
 }
 
 }  // namespace smartstore::persist

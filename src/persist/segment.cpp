@@ -342,17 +342,6 @@ void read_segment_extent(const std::string& dir, const DeltaExtent& ext,
   }
 }
 
-void remove_ckpt_state(const std::string& dir) {
-  std::error_code ec;
-  // Unlink the manifest first: it is the commit point of the incremental
-  // layout, and a crash after it is gone but before the bases/segments are
-  // must leave only unreferenced garbage, never a manifest pointing at
-  // deleted files.
-  fs::remove(manifest_path(dir), ec);
-  util::fsync_parent_dir(manifest_path(dir));
-  fs::remove_all(ckpt_dir(dir), ec);
-}
-
 void prune_ckpt_files(const std::string& dir, const DeltaManifest& m) {
   std::error_code ec;
   if (!fs::exists(ckpt_dir(dir), ec)) return;

@@ -1,7 +1,7 @@
 // Incremental-checkpoint on-disk formats: the delta manifest and the
 // per-unit log-structured segment files.
 //
-// A deployment running incremental checkpoints keeps, under <dir>/ckpt/:
+// Every durable deployment keeps its checkpoint state under <dir>/ckpt/:
 //
 //   MANIFEST          the chain descriptor (below) — the ONE file recovery
 //                     consults to decide the incremental layout exists
@@ -17,8 +17,8 @@
 // unit (no records since the previous cut) contributes no extent and its
 // segment is not even opened. Recovery = load the base image, apply every
 // cut's extents merged by store-wide sequence number, then replay the WAL
-// tail past the manifest fence — the same fence/generation protocol as
-// the legacy WALFENCE, so nothing ever applies twice.
+// tail past the manifest fence — the same per-shard fence/generation
+// protocol as a snapshot's WALFENCE, so nothing ever applies twice.
 //
 // Manifest layout (little-endian):
 //
@@ -28,6 +28,8 @@
 //                                      2 = ckpt/base-<id>.bin
 //   [u64 last cut seq]                 commit seq at the newest cut/fold
 //   fence: [u64 generation] [u64 records] [u8 present]
+//          (the legacy wal.bin pair; written as zero, never read — under
+//          a manifest recovery ignores wal.bin)
 //          [u64 shard count] then per shard
 //          [u64 shard] [u64 generation] [u64 records]
 //   [u64 cut count] then per cut:
@@ -155,13 +157,6 @@ DeltaExtent append_segment_extent(const std::string& dir, std::uint64_t unit,
 /// Throws PersistError kCorruption on any mismatch.
 void read_segment_extent(const std::string& dir, const DeltaExtent& ext,
                          std::vector<WalRecord>* out);
-
-/// Removes the whole incremental-checkpoint state (manifest, bases,
-/// segments). The quiesced full checkpoint calls this AFTER publishing
-/// snapshot.bin and BEFORE resetting the WAL: once the fresh full image is
-/// durable the manifest describes a superseded history, and it must be
-/// gone before the WAL prefix it fences is truncated.
-void remove_ckpt_state(const std::string& dir);
 
 /// Deletes base images and segment files `m` does not reference (compaction
 /// cleanup — after a fold the chain is empty, so every segment goes).

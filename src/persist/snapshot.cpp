@@ -232,25 +232,10 @@ struct SnapshotAccess {
     w.write_u64(commit_seq);
   }
 
-  // The plain save_* readers run on the quiesced path (save_snapshot):
-  // the caller guarantees no concurrent mutation, so they read
-  // structure-guarded members without the shape lock and are exempted
-  // from analysis rather than given a lock they do not need.
-  static void save_config(const Store& s, BinaryWriter& w)
-      SS_NO_THREAD_SAFETY_ANALYSIS {
-    save_config_state(s.cfg_, s.bloom_bits_, s.total_files_, s.rng_.state(),
-                      s.unit_active_, s.last_commit_seq(), w);
-  }
-
   static void save_standardizer_state(const la::RowStandardizer& st,
                                       BinaryWriter& w) {
     w.write_vec_f64(st.means);
     w.write_vec_f64(st.inv_stdevs);
-  }
-
-  static void save_standardizer(const Store& s, BinaryWriter& w)
-      SS_NO_THREAD_SAFETY_ANALYSIS {
-    save_standardizer_state(s.standardizer_, w);
   }
 
   /// v2 unit entry: the v1 record block, then the parallel added_seq array
@@ -273,12 +258,6 @@ struct SnapshotAccess {
       w.write_u64(t.added_seq);
       w.write_u64(t.deleted_seq);
     }
-  }
-
-  static void save_units(const Store& s, BinaryWriter& w) {
-    const std::uint64_t watermark = s.gc_watermark();
-    w.write_u64(s.units_.size());
-    for (const core::StorageUnit& u : s.units_) save_unit(u, watermark, w);
   }
 
   static void save_tree(const Tree& t, BinaryWriter& w) {
@@ -322,10 +301,6 @@ struct SnapshotAccess {
     }
   }
 
-  static void save_variants(const Store& s, BinaryWriter& w) {
-    save_variants_state(s.variants_, w);
-  }
-
   static void save_sync_state(
       const std::unordered_map<std::size_t, Store::GroupSync>& sync,
       const std::vector<std::size_t>& group_order, BinaryWriter& w) {
@@ -352,10 +327,6 @@ struct SnapshotAccess {
       write_version_delta(w, gs.pending);
       w.write_u64(gs.changes_since_full_sync);
     }
-  }
-
-  static void save_sync(const Store& s, BinaryWriter& w) {
-    save_sync_state(s.sync_, s.tree_.groups(), w);
   }
 
   // ---- encode from a frozen view (concurrent checkpoint) --------------------
@@ -711,13 +682,11 @@ void append_fence_section(BinaryWriter& out, const WalFence& fence) {
   append_section(out, kSecWalFence, sec);
 }
 
-/// The one snapshot skeleton both save paths share: section order, crash
-/// boundaries, header/fence bytes and the atomic publish are identical by
-/// construction; only the per-section serializer differs (live state vs
-/// frozen-view resolution). `fill(id, w)` writes section `id`'s payload.
-template <typename FillSection>
-void save_snapshot_image(FillSection&& fill, const WalFence& fence,
-                         const std::string& path) {
+}  // namespace
+
+void save_snapshot_frozen(core::SmartStore& store, const std::string& path,
+                          const WalFence& fence) {
+  SnapshotAccess::require_frozen(store);
   static constexpr struct {
     std::uint32_t id;
     const char* fault;
@@ -735,11 +704,24 @@ void save_snapshot_image(FillSection&& fill, const WalFence& fence,
   out.write_u32(kSnapshotFormatVersion);
   out.write_u32(fence.present ? 7 : 6);  // section count
 
+  // Each piece is resolved (frozen copy vs untouched live object) under
+  // the store's freeze lock, one section at a time.
   BinaryWriter sec;
   for (const auto& s : kSections) {
     fault_point(s.fault);
     sec.clear();
-    fill(s.id, sec);
+    switch (s.id) {
+      case kSecConfig: SnapshotAccess::save_config_frozen(store, sec); break;
+      case kSecStandardizer:
+        SnapshotAccess::save_standardizer_frozen(store, sec);
+        break;
+      case kSecUnits: SnapshotAccess::save_units_frozen(store, sec); break;
+      case kSecTree: SnapshotAccess::save_tree_frozen(store, sec); break;
+      case kSecVariants:
+        SnapshotAccess::save_variants_frozen(store, sec);
+        break;
+      case kSecSync: SnapshotAccess::save_sync_frozen(store, sec); break;
+    }
     append_section(out, s.id, sec);
   }
   if (fence.present) {
@@ -748,49 +730,6 @@ void save_snapshot_image(FillSection&& fill, const WalFence& fence,
   }
 
   write_file_atomic_faulted(path, out.buffer(), "snapshot:write");
-}
-
-}  // namespace
-
-void save_snapshot(const core::SmartStore& store, const std::string& path,
-                   const WalFence& fence) {
-  save_snapshot_image(
-      [&store](std::uint32_t id, BinaryWriter& w) {
-        switch (id) {
-          case kSecConfig: SnapshotAccess::save_config(store, w); break;
-          case kSecStandardizer:
-            SnapshotAccess::save_standardizer(store, w);
-            break;
-          case kSecUnits: SnapshotAccess::save_units(store, w); break;
-          case kSecTree: SnapshotAccess::save_tree(store.tree(), w); break;
-          case kSecVariants: SnapshotAccess::save_variants(store, w); break;
-          case kSecSync: SnapshotAccess::save_sync(store, w); break;
-        }
-      },
-      fence, path);
-}
-
-void save_snapshot_frozen(core::SmartStore& store, const std::string& path,
-                          const WalFence& fence) {
-  SnapshotAccess::require_frozen(store);
-  // Each piece is resolved (frozen copy vs untouched live object) under
-  // the store's freeze lock, one section at a time.
-  save_snapshot_image(
-      [&store](std::uint32_t id, BinaryWriter& w) {
-        switch (id) {
-          case kSecConfig: SnapshotAccess::save_config_frozen(store, w); break;
-          case kSecStandardizer:
-            SnapshotAccess::save_standardizer_frozen(store, w);
-            break;
-          case kSecUnits: SnapshotAccess::save_units_frozen(store, w); break;
-          case kSecTree: SnapshotAccess::save_tree_frozen(store, w); break;
-          case kSecVariants:
-            SnapshotAccess::save_variants_frozen(store, w);
-            break;
-          case kSecSync: SnapshotAccess::save_sync_frozen(store, w); break;
-        }
-      },
-      fence, path);
 }
 
 std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path,

@@ -15,9 +15,12 @@
 //
 // Sections: CONFIG (Config + rng state + active flags), STANDARDIZER,
 // UNITS (records per storage unit), TREE, VARIANTS, SYNC (group replicas,
-// sealed versions, pending deltas), and an optional WALFENCE written by
-// checkpoint() — the (generation, record count) of the WAL whose effects
-// this snapshot already contains, so recovery never replays them twice.
+// sealed versions, pending deltas), and an optional WALFENCE — the WAL
+// frontier (per shard) whose effects this image already contains, so
+// recovery never replays them twice. Images are written only from a
+// frozen view (save_snapshot_frozen) by the delta engine's fold
+// (persist/delta_checkpoint.h); <dir>/snapshot.bin is the pre-manifest
+// layout, read and adopted but never written.
 // Every section is independently checksummed; a flipped bit or truncation
 // anywhere fails the load with a PersistError instead of resurrecting a
 // corrupt deployment.
@@ -73,16 +76,14 @@ struct ShardFence {
   std::uint64_t records = 0;
 };
 
-/// The WAL prefix a snapshot subsumes. For a single-log deployment,
-/// records [0, records) of the log whose header generation is `generation`
-/// are already reflected in the snapshotted state. For a sharded
-/// deployment `shards` carries one (generation, records) frontier entry
-/// per WAL shard instead (and the legacy pair is zero). `present` is
-/// false when the snapshot carries no fence (one saved outside the
-/// checkpoint protocol). The WALFENCE section encodes the legacy pair
-/// first and appends the shard vector, so pre-sharding snapshots decode
-/// with `shards` empty and old binaries ignore the extra bytes they never
-/// read.
+/// The WAL prefix a snapshot subsumes: `shards` carries one (generation,
+/// records) frontier entry per WAL shard. The legacy pair covers records
+/// [0, records) of a pre-sharding <dir>/wal.bin whose header generation is
+/// `generation`; it is only ever read (from an old snapshot.bin) and is
+/// zero in everything written now. `present` is false when the snapshot
+/// carries no fence. The WALFENCE section encodes the legacy pair first
+/// and appends the shard vector, so pre-sharding snapshots decode with
+/// `shards` empty.
 struct WalFence {
   std::uint64_t generation = 0;
   std::uint64_t records = 0;
@@ -90,19 +91,15 @@ struct WalFence {
   std::vector<ShardFence> shards;
 };
 
-/// Serializes the deployment and writes it atomically (temp file + rename +
-/// directory fsync). A present `fence` is recorded in the WALFENCE section.
-void save_snapshot(const core::SmartStore& store, const std::string& path,
-                   const WalFence& fence = {});
-
 /// Serializes the frozen view of a store whose begin_checkpoint() is
-/// active, while a serving thread keeps mutating it. Pieces are resolved
+/// active, while serving threads keep mutating it. Pieces are resolved
 /// one at a time under the store's freeze lock — a copy made by the first
 /// post-freeze write where one exists, the untouched live object where
 /// not — so the written image is exactly the state at the freeze epoch.
 /// Serialized pieces are marked done (their frozen copies are released and
 /// later writes stop copying), which is why the store reference is
-/// non-const. Publication is the same atomic temp+rename+dir-fsync.
+/// non-const. Publication is atomic (temp file + rename + directory
+/// fsync); a present `fence` is recorded in the WALFENCE section.
 void save_snapshot_frozen(core::SmartStore& store, const std::string& path,
                           const WalFence& fence);
 

@@ -24,14 +24,14 @@ void flush_and_sync(std::FILE* f) {
 #endif
 }
 
-/// Serializes `records` as one commit block appended to `out` (nothing
+/// Serializes `records` as one v03 commit block appended to `out` (nothing
 /// when empty). The layout must stay byte-identical to commit()'s.
 void append_block(util::BinaryWriter& out,
-                  const std::vector<WalRecord>& records, bool with_seq) {
+                  const std::vector<WalRecord>& records) {
   if (records.empty()) return;
   util::BinaryWriter payload;
   for (const WalRecord& rec : records)
-    encode_wal_record(payload, rec, with_seq);
+    encode_wal_record(payload, rec, /*with_seq=*/true);
   out.write_u32(kWalBlockMagic);
   out.write_u32(static_cast<std::uint32_t>(records.size()));
   out.write_u64(payload.size());
@@ -39,19 +39,45 @@ void append_block(util::BinaryWriter& out,
   out.write_u32(util::crc32(payload.buffer().data(), payload.size()));
 }
 
-/// A complete log image: the requested magic, the given generation, then
+constexpr std::size_t kHeaderBytes = sizeof(kWalMagicV3) + 8;
+
+/// A complete v03 log image: the header with the given generation, then
 /// whatever `fill_blocks` appends. Published atomically through the shared
-/// fault-instrumented temp+rename+dir-fsync, so every log publish (rebase,
-/// version upgrade) has identical crash behavior.
+/// fault-instrumented temp+rename+dir-fsync ("wal:rebase:*").
 template <typename FillBlocks>
 void publish_log(const std::string& path, std::uint64_t generation,
-                 FillBlocks&& fill_blocks, const std::string& fault_prefix,
-                 bool with_seq = false) {
+                 FillBlocks&& fill_blocks) {
   util::BinaryWriter out;
-  out.write_bytes(with_seq ? kWalMagicV3 : kWalMagic, sizeof(kWalMagic));
+  out.write_bytes(kWalMagicV3, sizeof(kWalMagicV3));
   out.write_u64(generation);
   fill_blocks(out);
-  write_file_atomic_faulted(path, out.buffer(), fault_prefix);
+  write_file_atomic_faulted(path, out.buffer(), "wal:rebase");
+}
+
+/// Overwrites `path` with a fresh, empty v03 log carrying `generation`
+/// (header only, fsynced, directory entry synced).
+void write_empty_wal(const std::string& path, std::uint64_t generation) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (!f) throw PersistError("cannot create WAL: " + path);
+  util::BinaryWriter header;
+  header.write_bytes(kWalMagicV3, sizeof(kWalMagicV3));
+  header.write_u64(generation);
+  if (std::fwrite(header.buffer().data(), 1, header.size(), f) !=
+      header.size()) {
+    std::fclose(f);
+    throw PersistError("cannot write WAL header: " + path);
+  }
+  flush_and_sync(f);
+  std::fclose(f);
+  util::fsync_parent_dir(path);
+}
+
+/// A generation for a log with no usable predecessor: drawn from the
+/// system entropy source so it cannot collide with a fence some earlier
+/// checkpoint recorded against an unrelated log history.
+std::uint64_t fresh_wal_generation() {
+  std::random_device rd;
+  return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
 }
 
 }  // namespace
@@ -125,29 +151,29 @@ WalScan scan_wal(const std::string& path) {
     return scan;  // no log yet: empty scan
   }
   if (bytes.empty()) return scan;
-  if (bytes.size() < sizeof(kWalMagic)) {
+  if (bytes.size() < sizeof(kWalMagicV3)) {
     scan.torn_tail = true;  // shorter than the header: a torn creation
     return scan;
   }
   // v02 added the reconfiguration record types; v01 logs parse as a strict
-  // subset, so both magics are accepted on read. v03 (sharded) adds the
+  // subset, so both legacy magics are accepted on read. v03 adds the
   // per-record sequence prefix.
   scan.v1_magic =
       std::memcmp(bytes.data(), kWalMagicV1, sizeof(kWalMagicV1)) == 0;
   scan.v3_magic =
       std::memcmp(bytes.data(), kWalMagicV3, sizeof(kWalMagicV3)) == 0;
   if (!scan.v1_magic && !scan.v3_magic &&
-      std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0)
+      std::memcmp(bytes.data(), kWalMagicV2, sizeof(kWalMagicV2)) != 0)
     throw PersistError("bad WAL magic: " + path);
 
   util::BinaryReader r(bytes);
-  r.skip(sizeof(kWalMagic));
+  r.skip(sizeof(kWalMagicV3));
   if (r.remaining() < 8) {
     scan.torn_tail = true;  // creation crashed before the generation landed
     return scan;
   }
   scan.generation = r.read_u64();
-  scan.valid_bytes = sizeof(kWalMagic) + 8;
+  scan.valid_bytes = kHeaderBytes;
 
   // Per block: magic(4) + count(4) + len(8) + payload + crc(4). Anything
   // that does not parse cleanly from here on is the crash window — stop at
@@ -213,11 +239,9 @@ WalScan scan_wal(const std::string& path) {
 
 // ---- writer -----------------------------------------------------------------
 
-WalWriter::WalWriter(std::string path, std::size_t group_commit,
-                     bool with_seq)
+WalWriter::WalWriter(std::string path, std::size_t group_commit)
     : path_(std::move(path)),
-      group_commit_(group_commit == 0 ? 1 : group_commit),
-      with_seq_(with_seq) {
+      group_commit_(group_commit == 0 ? 1 : group_commit) {
   open_truncated_to_valid_prefix();
 }
 
@@ -239,32 +263,17 @@ void WalWriter::open_truncated_to_valid_prefix() {
   committed_bytes_ = scan.valid_bytes;
 
   if (scan.valid_bytes > 0) {
-    if (scan.v3_magic != with_seq_ || scan.v1_magic) {
-      // Appending records in one layout behind another layout's header
-      // would make readers mis-parse them as a torn tail and truncate
-      // acked records away. Upgrade in place: same generation and records,
-      // the writer's magic, atomic swap. (A crash inside the swap leaves
-      // either the old log or the equivalent re-encoded one — same
-      // generation, same records. Records upgraded into v03 keep seq 0,
-      // which sorts them before every newly stamped record on merge.)
-      publish_log(
-          path_, generation_,
-          [&](util::BinaryWriter& out) {
-            append_block(out, scan.records, with_seq_);
-          },
-          "wal:upgrade", with_seq_);
-      std::error_code size_ec;
-      const auto sz = std::filesystem::file_size(path_, size_ec);
-      if (size_ec)
-        throw PersistError("cannot stat upgraded WAL: " + size_ec.message(),
-                         PersistError::Code::kIo);
-      committed_bytes_ = static_cast<std::size_t>(sz);
-    } else if (scan.torn_tail) {
+    // Appending v03 records behind a legacy header would make readers
+    // mis-parse them as a torn tail and truncate acked records away.
+    if (!scan.v3_magic) {
+      throw PersistError("legacy v01/v02 WAL is read-only: " + path_);
+    }
+    if (scan.torn_tail) {
       std::error_code ec;
       std::filesystem::resize_file(path_, scan.valid_bytes, ec);
       if (ec)
-      throw PersistError("cannot drop torn WAL tail: " + ec.message(),
-                         PersistError::Code::kIo);
+        throw PersistError("cannot drop torn WAL tail: " + ec.message(),
+                           PersistError::Code::kIo);
     }
     file_ = std::fopen(path_.c_str(), "ab");
     if (!file_) throw PersistError("cannot open WAL for append: " + path_,
@@ -273,16 +282,16 @@ void WalWriter::open_truncated_to_valid_prefix() {
   }
   // Absent, empty, or torn before the header completed: start fresh.
   generation_ = fresh_wal_generation();
-  write_empty_wal(path_, generation_, with_seq_);
+  write_empty_wal(path_, generation_);
   file_ = std::fopen(path_.c_str(), "ab");
   if (!file_) throw PersistError("cannot open WAL for append: " + path_,
                        PersistError::Code::kIo);
   committed_ = 0;
-  committed_bytes_ = sizeof(kWalMagic) + 8;
+  committed_bytes_ = kHeaderBytes;
 }
 
-// Every log_* encodes through encode_wal_record so the live-append layout
-// and the rewrite paths (rebase slow path, version upgrade) cannot drift.
+// log() and append() encode through encode_wal_record so the live-append
+// layout and the rebase slow path cannot drift.
 
 void WalWriter::log(const WalRecord& rec) {
   append(rec);
@@ -290,43 +299,8 @@ void WalWriter::log(const WalRecord& rec) {
 }
 
 void WalWriter::append(const WalRecord& rec) {
-  encode_wal_record(batch_, rec, with_seq_);
+  encode_wal_record(batch_, rec, /*with_seq=*/true);
   ++pending_;
-}
-
-void WalWriter::log_insert(const metadata::FileMetadata& f) {
-  WalRecord rec;
-  rec.type = WalRecordType::kInsert;
-  rec.file = f;
-  log(rec);
-}
-
-void WalWriter::log_remove(const std::string& name) {
-  WalRecord rec;
-  rec.type = WalRecordType::kRemove;
-  rec.name = name;
-  log(rec);
-}
-
-void WalWriter::log_add_unit() {
-  WalRecord rec;
-  rec.type = WalRecordType::kAddUnit;
-  log(rec);
-}
-
-void WalWriter::log_remove_unit(std::uint64_t unit) {
-  WalRecord rec;
-  rec.type = WalRecordType::kRemoveUnit;
-  rec.unit = unit;
-  log(rec);
-}
-
-void WalWriter::log_autoconfigure(
-    const std::vector<metadata::AttrSubset>& subsets) {
-  WalRecord rec;
-  rec.type = WalRecordType::kAutoconfigure;
-  rec.subsets = subsets;
-  log(rec);
 }
 
 void WalWriter::commit() {
@@ -391,21 +365,6 @@ void WalWriter::commit() {
   committed_bytes_ = static_cast<std::size_t>(start) + block.size();
 }
 
-void WalWriter::reset() {
-  pending_ = 0;
-  batch_.clear();
-  committed_ = 0;
-  if (file_) std::fclose(file_);
-  file_ = nullptr;
-  fault_point("wal:reset:pre-truncate");
-  ++generation_;  // fences against the old history stop matching
-  write_empty_wal(path_, generation_, with_seq_);
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (!file_) throw PersistError("cannot reopen WAL after reset: " + path_,
-                                PersistError::Code::kIo);
-  committed_bytes_ = sizeof(kWalMagic) + 8;
-}
-
 void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
   commit();  // the rebased log must carry every acknowledged record
   if (drop == 0) return;  // fence covers nothing: the log already pairs
@@ -417,8 +376,7 @@ void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
   // tail splices over as raw block bytes — O(tail), no re-parse. (This
   // runs with the serving thread excluded; re-scanning the whole log here
   // would stall it for the full history since the last checkpoint.)
-  const std::size_t header = sizeof(kWalMagic) + 8;
-  if (drop_bytes != kNoByteHint && drop_bytes >= header &&
+  if (drop_bytes != kNoByteHint && drop_bytes >= kHeaderBytes &&
       drop_bytes <= committed_bytes_ && drop <= committed_) {
     std::vector<std::uint8_t> tail(committed_bytes_ - drop_bytes);
     if (!tail.empty()) {
@@ -435,8 +393,7 @@ void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
         path_, generation_ + 1,
         [&](util::BinaryWriter& out) {
           if (!tail.empty()) out.write_bytes(tail.data(), tail.size());
-        },
-        "wal:rebase", with_seq_);
+        });
     committed_ -= drop;
   } else {
     // No (usable) byte hint — e.g. a drop inside a commit block, which
@@ -446,10 +403,9 @@ void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
     const std::vector<WalRecord> tail(
         scan.records.begin() + static_cast<std::ptrdiff_t>(keep_from),
         scan.records.end());
-    publish_log(
-        path_, generation_ + 1,
-        [&](util::BinaryWriter& out) { append_block(out, tail, with_seq_); },
-        "wal:rebase", with_seq_);
+    publish_log(path_, generation_ + 1, [&](util::BinaryWriter& out) {
+      append_block(out, tail);
+    });
     committed_ = tail.size();
   }
 
@@ -469,28 +425,6 @@ void WalWriter::abandon() {
   batch_.clear();
   if (file_) std::fclose(file_);
   file_ = nullptr;
-}
-
-void write_empty_wal(const std::string& path, std::uint64_t generation,
-                     bool with_seq) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw PersistError("cannot create WAL: " + path);
-  util::BinaryWriter header;
-  header.write_bytes(with_seq ? kWalMagicV3 : kWalMagic, sizeof(kWalMagic));
-  header.write_u64(generation);
-  if (std::fwrite(header.buffer().data(), 1, header.size(), f) !=
-      header.size()) {
-    std::fclose(f);
-    throw PersistError("cannot write WAL header: " + path);
-  }
-  flush_and_sync(f);
-  std::fclose(f);
-  util::fsync_parent_dir(path);
-}
-
-std::uint64_t fresh_wal_generation() {
-  std::random_device rd;
-  return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
 }
 
 }  // namespace smartstore::persist

@@ -42,8 +42,7 @@ namespace smartstore::util {
 enum class LockRank : int {
   kLifecycle = 0,        ///< db::Store lifecycle shared_mutex
   kDbCheckpoint = 2,     ///< db::Store checkpoint serialization mutex
-  kCheckpointCoord = 4,  ///< persist::Checkpointer coordination mutex
-  kCompactor = 6,        ///< delta-checkpoint engine / compactor mutex
+  kDeltaEngine = 6,      ///< persist::DeltaEngine cut/fold mutex
                          ///< (held across begin_checkpoint: below kShape)
   kShape = 10,           ///< core structure (shape) shared_mutex
   kUnit = 20,            ///< per-storage-unit record mutexes
@@ -75,8 +74,7 @@ inline const char* lock_rank_name(LockRank r) {
   switch (r) {
     case LockRank::kLifecycle: return "lifecycle";
     case LockRank::kDbCheckpoint: return "db-checkpoint";
-    case LockRank::kCheckpointCoord: return "checkpoint-coord";
-    case LockRank::kCompactor: return "compactor";
+    case LockRank::kDeltaEngine: return "delta-engine";
     case LockRank::kShape: return "shape";
     case LockRank::kUnit: return "unit";
     case LockRank::kSummaryStripe: return "summary-stripe";

@@ -1,12 +1,14 @@
 // Background checkpointing under live traffic.
 //
-// A writer thread streams WAL-logged inserts through the
-// BackgroundCheckpointer's mutation API while checkpoints run on a pool
-// worker; the suite asserts the paper-level contract — a checkpoint taken
-// while a writer streams inserts produces a snapshot+WAL pair from which
-// recover() restores every acknowledged write — plus the logged-
-// reconfiguration replay and the epoch/COW accounting. This suite is the
-// ThreadSanitizer target for the concurrent checkpoint path.
+// A writer thread streams WAL-logged inserts (the shard hooks db::Store
+// wires) while the BackgroundCheckpointer's one slot runs delta cuts and
+// budget folds on a pool worker; the suite asserts the paper-level
+// contract — checkpoints taken while a writer streams inserts leave a
+// base + delta chain + WAL tail from which recover() restores every
+// acknowledged write — plus the slot's single-flight rule, the cut's fence
+// accounting, the logged-reconfiguration replay and the frozen view's
+// copy-on-write semantics. This suite is a ThreadSanitizer target for the
+// concurrent checkpoint path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,8 +19,9 @@
 #include <vector>
 
 #include "persist/bg_checkpoint.h"
+#include "persist/delta_checkpoint.h"
 #include "persist/recovery.h"
-#include "persist/wal.h"
+#include "persist/wal_shard.h"
 #include "trace/synth.h"
 #include "util/thread_pool.h"
 
@@ -29,6 +32,7 @@ using core::Config;
 using core::Routing;
 using core::SmartStore;
 using metadata::AttrSubset;
+using metadata::FileMetadata;
 
 std::string temp_dir(const char* tag) {
   const auto dir = std::filesystem::temp_directory_path() /
@@ -45,156 +49,154 @@ std::set<std::string> unit_names(const SmartStore& s) {
   return out;
 }
 
+/// A built store with its shard logs and engine over a temp directory.
 struct Deployment {
   trace::SyntheticTrace trace;
+  std::string dir;
   SmartStore store;
-  explicit Deployment(std::size_t units, unsigned downscale)
+  ShardedWal wal;
+  DeltaEngine engine;
+
+  Deployment(const char* tag, std::size_t units, unsigned downscale,
+             std::size_t group_commit = 4)
       : trace(trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
                                               downscale)),
-        store(make_config(units)) {
+        dir(temp_dir(tag)),
+        store(make_config(units)),
+        wal(dir, units, group_commit),
+        engine(store, wal, dir) {
     store.build(trace.files());
   }
+  ~Deployment() { std::filesystem::remove_all(dir); }
+
   static Config make_config(std::size_t units) {
     Config cfg;
     cfg.num_units = units;
     cfg.seed = 7;
     return cfg;
   }
+
+  void insert(const FileMetadata& f) {
+    store.insert_file(
+        f, 0.0,
+        [&](core::UnitId target) { return wal.append_insert(target, f); },
+        [&](core::UnitId target) { wal.maybe_commit(target); });
+  }
 };
 
 TEST(BgCheckpoint, RestoresEveryAcknowledgedWriteUnderLiveInsertStream) {
-  const std::string dir = temp_dir("live");
-  Deployment d(8, /*downscale=*/20);
-  SmartStore& store = d.store;
-
-  WalWriter wal(wal_path(dir), /*group_commit=*/4);
-  checkpoint(store, dir, &wal);
-
+  Deployment d("live", 8, /*downscale=*/20);
+  d.engine.fold();
   util::ThreadPool pool(2);
-  BackgroundCheckpointer bg(store, dir, wal, pool);
+  BackgroundCheckpointer bg(d.engine, pool, /*max_chain_len=*/2,
+                            /*max_chain_bytes=*/0);
 
   const auto stream = d.trace.make_insert_stream(300, 77);
   std::atomic<bool> done{false};
   std::thread writer([&] {
     for (std::size_t i = 0; i < stream.size(); ++i) {
-      // Halfway through, wait until a checkpoint is actually in its
-      // frozen window so the second half of the stream provably rides
-      // along with one (main triggers continuously below, so this always
+      // Halfway through, wait until a fold is actually in its frozen
+      // window so the second half of the stream provably rides along with
+      // one (main folds on every other round below, so this always
       // terminates; without the gate, a loaded machine can schedule the
       // whole stream before the first freeze).
       if (i == stream.size() / 2)
-        while (!store.checkpoint_active()) std::this_thread::yield();
-      bg.insert(stream[i]);
+        while (!d.store.checkpoint_active()) std::this_thread::yield();
+      d.insert(stream[i]);
     }
     done.store(true, std::memory_order_release);
   });
 
-  // Checkpoint continuously while the stream runs, then top up to at
-  // least two completed checkpoints.
-  std::size_t checkpoints = 0;
-  while (!done.load(std::memory_order_acquire)) {
-    if (bg.trigger()) {
+  // Checkpoint continuously while the stream runs — background cuts (with
+  // their budget folds) alternating with explicit folds — then top up to
+  // at least two completed slot runs.
+  std::size_t triggered = 0;
+  for (std::size_t round = 0; !done.load(std::memory_order_acquire);
+       ++round) {
+    if (round % 2 == 1) {
+      bg.compact();
+    } else if (bg.trigger()) {
       bg.wait();
-      ++checkpoints;
-    } else {
-      std::this_thread::yield();
+      ++triggered;
     }
   }
   writer.join();
-  while (checkpoints < 2) {
+  while (triggered < 2) {
     ASSERT_TRUE(bg.trigger());
     bg.wait();
-    ++checkpoints;
+    ++triggered;
   }
-
-  EXPECT_GE(checkpoints, 2u);
   // The gated second half of the stream overlapped a frozen window, so
-  // mutations demonstrably rode along with a checkpoint. (Whether they
-  // also *copied* depends on which pieces were still unserialized at that
-  // instant — FrozenViewExcludesMidCheckpointMutations asserts the COW
-  // semantics deterministically.)
+  // mutations demonstrably rode along with a fold.
   EXPECT_GT(bg.total_mutations_during(), 0u);
 
   // Every acknowledged write: the live store and the recovered one agree
   // exactly (inserts beyond the last fence replay from the rebased tail).
-  wal.commit();
-  const RecoveryResult rec = recover(dir);
+  d.wal.commit_all();
+  const RecoveryResult rec = recover(d.dir);
   ASSERT_TRUE(rec.store);
   EXPECT_TRUE(rec.store->check_invariants());
-  EXPECT_EQ(rec.store->total_files(), store.total_files());
-  EXPECT_EQ(unit_names(*rec.store), unit_names(store));
+  EXPECT_EQ(rec.store->total_files(), d.store.total_files());
+  EXPECT_EQ(unit_names(*rec.store), unit_names(d.store));
   for (const auto& f : stream) {
     bool present = false;
     for (const auto& u : rec.store->units())
       if (u.find_by_name(f.name)) present = true;
     ASSERT_TRUE(present) << "acknowledged insert lost: " << f.name;
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(BgCheckpoint, FrozenViewExcludesMidCheckpointMutations) {
   // Deterministic copy-on-write check: a mutation landing between the
   // freeze and the serialization must copy the pieces it touches, and the
-  // published snapshot must show the freeze-epoch state — without the
-  // mutation — while the live store keeps it.
-  const std::string dir = temp_dir("frozen_view");
-  Deployment d(6, /*downscale=*/40);
-  SmartStore& store = d.store;
-  const std::size_t files_at_freeze = store.total_files();
+  // written image must show the freeze-epoch state — without the mutation
+  // — while the live store keeps it.
+  Deployment d("frozen_view", 6, /*downscale=*/40);
+  const std::size_t files_at_freeze = d.store.total_files();
 
-  WalWriter wal(wal_path(dir), /*group_commit=*/4);
-  wal.commit();
-  const WalFence fence{wal.generation(), wal.committed_records(), true};
-  store.begin_checkpoint();
-
+  WalFence fence;
+  std::vector<std::size_t> fence_bytes;
+  d.store.begin_checkpoint([&] { fence = d.wal.frontier(&fence_bytes); });
   const auto extra = d.trace.make_insert_stream(3, 11);
-  for (const auto& f : extra) {
-    wal.log_insert(f);
-    store.insert_file(f, 0.0);
-  }
-  EXPECT_GT(store.checkpoint_cow_copies(), 0u);  // pieces were all pending
+  for (const auto& f : extra) d.insert(f);
+  EXPECT_GT(d.store.checkpoint_cow_copies(), 0u);  // pieces were all pending
 
-  save_snapshot_frozen(store, snapshot_path(dir), fence);
-  wal.rebase(static_cast<std::size_t>(fence.records));
-  store.end_checkpoint();
-  wal.commit();
+  save_snapshot_frozen(d.store, snapshot_path(d.dir), fence);
+  d.wal.rebase_to(fence, fence_bytes);
+  d.store.end_checkpoint();
+  d.wal.commit_all();
 
   // The image alone is the freeze-epoch state...
-  const auto frozen = load_snapshot(snapshot_path(dir));
+  const auto frozen = load_snapshot(snapshot_path(d.dir));
   EXPECT_EQ(frozen->total_files(), files_at_freeze);
   for (const auto& f : extra) {
     for (const auto& u : frozen->units())
       EXPECT_EQ(u.find_by_name(f.name), nullptr);
   }
-  // ...and image + rebased tail is the live state.
-  const RecoveryResult rec = recover(dir);
+  // ...and image + WAL tail is the live state.
+  const RecoveryResult rec = recover(d.dir);
   EXPECT_EQ(rec.wal_records, extra.size());
-  EXPECT_EQ(rec.store->total_files(), store.total_files());
-  EXPECT_EQ(unit_names(*rec.store), unit_names(store));
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(rec.store->total_files(), d.store.total_files());
+  EXPECT_EQ(unit_names(*rec.store), unit_names(d.store));
 }
 
 TEST(BgCheckpoint, ServesQueriesOnTheWritingThreadDuringCheckpoints) {
-  const std::string dir = temp_dir("queries");
-  Deployment d(6, /*downscale=*/40);
-  SmartStore& store = d.store;
-
-  WalWriter wal(wal_path(dir), /*group_commit=*/4);
-  checkpoint(store, dir, &wal);
-
+  Deployment d("queries", 6, /*downscale=*/40);
+  d.engine.fold();
   util::ThreadPool pool(1);
-  BackgroundCheckpointer bg(store, dir, wal, pool);
+  BackgroundCheckpointer bg(d.engine, pool, /*max_chain_len=*/1,
+                            /*max_chain_bytes=*/0);
 
   const auto stream = d.trace.make_insert_stream(120, 5);
   std::atomic<bool> done{false};
   std::size_t found = 0;
   std::thread serving([&] {
     for (std::size_t i = 0; i < stream.size(); ++i) {
-      bg.insert(stream[i]);
+      d.insert(stream[i]);
       // Query the file just inserted: on-line routing is exact, so it
       // must be visible immediately, checkpoint or no checkpoint.
       const auto res =
-          store.point_query({stream[i].name}, Routing::kOnline, 0.0);
+          d.store.point_query({stream[i].name}, Routing::kOnline, 0.0);
       if (res.found) ++found;
     }
     done.store(true, std::memory_order_release);
@@ -216,31 +218,25 @@ TEST(BgCheckpoint, ServesQueriesOnTheWritingThreadDuringCheckpoints) {
 
   EXPECT_EQ(found, stream.size());
   EXPECT_GE(checkpoints, 1u);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(BgCheckpoint, LoggedReconfigurationReplaysIntoNewTopology) {
-  const std::string dir = temp_dir("reconf");
-  Deployment d(6, /*downscale=*/40);
+  Deployment d("reconf", 6, /*downscale=*/40, /*group_commit=*/2);
+  d.engine.fold();
+  const std::size_t base_units = d.store.units().size();
   SmartStore& store = d.store;
 
-  WalWriter wal(wal_path(dir), /*group_commit=*/2);
-  checkpoint(store, dir, &wal);
-  const std::size_t base_units = store.units().size();
-
-  util::ThreadPool pool(1);
-  BackgroundCheckpointer bg(store, dir, wal, pool);
-
   // Reconfigure and mutate, never checkpointing afterwards: recovery must
-  // replay the topology changes from the log alone (the PR-2 gap).
-  const core::UnitId added = bg.add_storage_unit();
+  // replay the topology changes from the log alone.
+  const core::UnitId added =
+      store.add_storage_unit([&] { return d.wal.log_add_unit(); });
   EXPECT_EQ(added, base_units);
   const auto stream = d.trace.make_insert_stream(12, 9);
-  for (const auto& f : stream) bg.insert(f);
-  bg.remove_storage_unit(1);
+  for (const auto& f : stream) d.insert(f);
+  store.remove_storage_unit(1, [&] { return d.wal.log_remove_unit(1); });
   const std::vector<AttrSubset> cands = {AttrSubset::from_mask(0x7u)};
-  bg.autoconfigure(cands);
-  wal.commit();
+  store.autoconfigure(cands, [&] { return d.wal.log_autoconfigure(cands); });
+  d.wal.commit_all();
 
   // No index unit may stay hosted on the removed server: routing would
   // send every query crossing it to a dead node forever.
@@ -258,7 +254,7 @@ TEST(BgCheckpoint, LoggedReconfigurationReplaysIntoNewTopology) {
   };
   EXPECT_EQ(hosts_on(store, 1), 0u);
 
-  const RecoveryResult rec = recover(dir);
+  const RecoveryResult rec = recover(d.dir);
   ASSERT_TRUE(rec.store);
   EXPECT_TRUE(rec.store->check_invariants());
   EXPECT_EQ(rec.store->units().size(), base_units + 1);
@@ -268,69 +264,103 @@ TEST(BgCheckpoint, LoggedReconfigurationReplaysIntoNewTopology) {
   EXPECT_EQ(rec.store->variants().size(), store.variants().size());
   EXPECT_EQ(rec.store->total_files(), store.total_files());
   EXPECT_EQ(unit_names(*rec.store), unit_names(store));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(BgCheckpoint, SecondTriggerWhileRunningIsRejected) {
-  const std::string dir = temp_dir("reject");
-  Deployment d(6, /*downscale=*/30);
-  SmartStore& store = d.store;
-
-  WalWriter wal(wal_path(dir), /*group_commit=*/4);
-  checkpoint(store, dir, &wal);
+  Deployment d("reject", 6, /*downscale=*/30);
   util::ThreadPool pool(2);
-  BackgroundCheckpointer bg(store, dir, wal, pool);
+  BackgroundCheckpointer bg(d.engine, pool, /*max_chain_len=*/4,
+                            /*max_chain_bytes=*/0);
 
   ASSERT_TRUE(bg.trigger());
   // Only meaningful while the first is still in flight; the check is
-  // skipped if the worker already finished (tiny stores snapshot fast).
+  // skipped if the worker already finished (tiny stores fold fast).
   if (bg.running()) {
     EXPECT_FALSE(bg.trigger());
   }
   EXPECT_TRUE(bg.wait());
   EXPECT_EQ(bg.completed(), 1u);
-  EXPECT_GT(bg.last_stats().snapshot_bytes, 0u);
+  // Nothing to chain from yet: the first cut escalated to a fold.
+  EXPECT_TRUE(bg.last_stats().folded);
+  EXPECT_GT(bg.last_stats().base_bytes, 0u);
 
-  // After completion a new checkpoint is accepted again.
+  // After completion a new run is accepted again (a cold no-op cut).
   ASSERT_TRUE(bg.trigger());
   EXPECT_TRUE(bg.wait());
   EXPECT_EQ(bg.completed(), 2u);
-  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(bg.last_stats().noop);
 }
 
 TEST(BgCheckpoint, FenceAccountingMatchesTheLog) {
-  const std::string dir = temp_dir("fence");
-  Deployment d(6, /*downscale=*/40);
-  SmartStore& store = d.store;
-
-  WalWriter wal(wal_path(dir), /*group_commit=*/2);
-  checkpoint(store, dir, &wal);
-
+  Deployment d("fence", 6, /*downscale=*/40, /*group_commit=*/2);
+  d.engine.fold();
   util::ThreadPool pool(1);
-  BackgroundCheckpointer bg(store, dir, wal, pool);
+  BackgroundCheckpointer bg(d.engine, pool, /*max_chain_len=*/4,
+                            /*max_chain_bytes=*/0);
   const auto stream = d.trace.make_insert_stream(10, 3);
-  for (std::size_t i = 0; i < 6; ++i) bg.insert(stream[i]);
-  wal.commit();
-  const std::uint64_t before_gen = wal.generation();
+  for (std::size_t i = 0; i < 6; ++i) d.insert(stream[i]);
+  d.wal.commit_all();
+  std::vector<std::uint64_t> before_gen(d.wal.num_shards());
+  std::vector<std::uint64_t> before_records(d.wal.num_shards());
+  for (std::size_t s = 0; s < d.wal.num_shards(); ++s) {
+    before_gen[s] = d.wal.generation(s);
+    before_records[s] = d.wal.committed_records(s);
+  }
 
   ASSERT_TRUE(bg.trigger());
   bg.wait();
-  const CheckpointStats& st = bg.last_stats();
-  EXPECT_EQ(st.fence_generation, before_gen);
-  EXPECT_EQ(st.fence_records, 6u);
-  // The fenced prefix was rebased away under a fresh generation.
-  EXPECT_EQ(wal.generation(), before_gen + 1);
-  EXPECT_EQ(wal.committed_records(), 0u);
+  const DeltaCutStats& st = bg.last_stats();
+  EXPECT_FALSE(st.folded);
+  EXPECT_EQ(st.delta_records, 6u);
+  EXPECT_EQ(st.chain_len, 1u);
+  // Each fenced prefix was rebased away under that shard's next
+  // generation; shards with nothing to drop keep theirs.
+  for (std::size_t s = 0; s < d.wal.num_shards(); ++s) {
+    EXPECT_EQ(d.wal.committed_records(s), 0u) << "shard " << s;
+    EXPECT_EQ(d.wal.generation(s),
+              before_gen[s] + (before_records[s] > 0 ? 1 : 0))
+        << "shard " << s;
+  }
 
-  // Post-checkpoint inserts live only in the tail; recovery stitches the
-  // snapshot and tail together.
-  for (std::size_t i = 6; i < stream.size(); ++i) bg.insert(stream[i]);
-  wal.commit();
-  const RecoveryResult rec = recover(dir);
+  // Post-cut inserts live only in the tail; recovery stitches base, the
+  // one-cut chain and the tail together.
+  for (std::size_t i = 6; i < stream.size(); ++i) d.insert(stream[i]);
+  d.wal.commit_all();
+  const RecoveryResult rec = recover(d.dir);
+  EXPECT_EQ(rec.delta_cuts, 1u);
+  EXPECT_EQ(rec.delta_records, 6u);
   EXPECT_EQ(rec.wal_fenced, 0u);  // generation changed: nothing to skip
   EXPECT_EQ(rec.wal_records, 4u);
-  EXPECT_EQ(unit_names(*rec.store), unit_names(store));
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(unit_names(*rec.store), unit_names(d.store));
+}
+
+TEST(BgCheckpoint, ExplicitCutReturnsPublishedAndBudgetFoldRunsInTheSlot) {
+  Deployment d("budget", 6, /*downscale=*/40);
+  d.engine.fold();
+  util::ThreadPool pool(1);
+  BackgroundCheckpointer bg(d.engine, pool, /*max_chain_len=*/1,
+                            /*max_chain_bytes=*/0);
+  const auto stream = d.trace.make_insert_stream(6, 21);
+
+  for (std::size_t i = 0; i < 3; ++i) d.insert(stream[i]);
+  const DeltaCutStats first = bg.checkpoint();
+  // Published before checkpoint() returned: the chain already holds it.
+  EXPECT_FALSE(first.folded);
+  EXPECT_EQ(d.engine.chain_len(), 1u);
+  EXPECT_EQ(bg.folds_scheduled(), 0u);  // at the budget, not past it
+
+  for (std::size_t i = 3; i < 6; ++i) d.insert(stream[i]);
+  bg.checkpoint();  // chain 2 > 1: a fold goes to the slot
+  EXPECT_EQ(bg.folds_scheduled(), 1u);
+  EXPECT_TRUE(bg.wait());
+  EXPECT_EQ(d.engine.chain_len(), 0u);
+  EXPECT_EQ(d.engine.folds(), 2u);
+  EXPECT_TRUE(bg.last_stats().folded);
+
+  const RecoveryResult rec = recover(d.dir);
+  ASSERT_TRUE(rec.store);
+  EXPECT_EQ(rec.delta_cuts, 0u);
+  EXPECT_EQ(unit_names(*rec.store), unit_names(d.store));
 }
 
 }  // namespace

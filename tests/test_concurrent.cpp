@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "persist/bg_checkpoint.h"
+#include "persist/delta_checkpoint.h"
 #include "persist/recovery.h"
 #include "persist/wal_shard.h"
 #include "trace/synth.h"
@@ -62,6 +63,24 @@ struct Deployment {
     store.build(trace.files());
   }
 };
+
+/// The write-ahead discipline db::Store wires: the append fires under the
+/// routed unit's lock, the group-commit fsync after it is released.
+void logged_insert(SmartStore& store, ShardedWal& wal,
+                   const FileMetadata& f) {
+  store.insert_file(
+      f, 0.0,
+      [&](core::UnitId target) { return wal.append_insert(target, f); },
+      [&](core::UnitId target) { wal.maybe_commit(target); });
+}
+
+bool logged_erase(SmartStore& store, ShardedWal& wal,
+                  const std::string& name) {
+  return store.erase_file(
+      name,
+      [&](core::UnitId located) { return wal.append_remove(located, name); },
+      [&](core::UnitId located) { wal.maybe_commit(located); });
+}
 
 /// Splits [0, n) into `parts` contiguous ranges.
 std::vector<std::pair<std::size_t, std::size_t>> split(std::size_t n,
@@ -206,10 +225,14 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   SmartStore& store = d.store;
 
   ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
-  checkpoint(store, dir, wal);
+  DeltaEngine engine(store, wal, dir);
+  engine.fold();
 
   util::ThreadPool pool(2);
-  BackgroundCheckpointer bg(store, dir, wal, pool);
+  // A budget of one chained cut: the background slot alternates cuts and
+  // folds, so both run against the writers.
+  BackgroundCheckpointer bg(engine, pool, /*max_chain_len=*/1,
+                            /*max_chain_bytes=*/0);
 
   const auto stream = d.trace.make_insert_stream(600, 31);
   const auto ranges = split(stream.size(), 4);
@@ -218,10 +241,12 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   for (const auto& [b, e] : ranges) {
     writers.emplace_back([&, b = b, e = e] {
       for (std::size_t i = b; i < e; ++i) {
-        bg.insert(stream[i]);
+        logged_insert(store, wal, stream[i]);
         // A third of each thread's files are erased again, through the
         // same sharded write-ahead discipline.
-        if ((i - b) % 3 == 2) EXPECT_TRUE(bg.erase(stream[i].name));
+        if ((i - b) % 3 == 2) {
+          EXPECT_TRUE(logged_erase(store, wal, stream[i].name));
+        }
       }
       done_writers.fetch_add(1, std::memory_order_release);
     });
@@ -246,7 +271,7 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   EXPECT_GE(checkpoints, 2u);
 
   // Acknowledge everything still pending, then recovery must reproduce
-  // the live store exactly: snapshot + merged shard tails.
+  // the live store exactly: base + delta chain + merged shard tails.
   wal.commit_all();
   const RecoveryResult rec = recover(dir);
   ASSERT_TRUE(rec.store);
@@ -263,23 +288,25 @@ TEST(MultiWriter, StructuralOpsBarrierAgainstConcurrentWriters) {
   SmartStore& store = d.store;
 
   ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
-  checkpoint(store, dir, wal);
-  util::ThreadPool pool(2);
-  BackgroundCheckpointer bg(store, dir, wal, pool);
+  DeltaEngine engine(store, wal, dir);
+  engine.fold();
 
   const auto stream = d.trace.make_insert_stream(300, 13);
   const auto ranges = split(stream.size(), 3);
   std::vector<std::thread> writers;
   for (const auto& [b, e] : ranges) {
     writers.emplace_back([&, b = b, e = e] {
-      for (std::size_t i = b; i < e; ++i) bg.insert(stream[i]);
+      for (std::size_t i = b; i < e; ++i) logged_insert(store, wal, stream[i]);
     });
   }
   // Topology changes race the writers: the structural barrier (commit all
   // shards, then log + commit the structural record) keeps the merged
   // replay order exact.
-  const core::UnitId added = bg.add_storage_unit();
-  bg.autoconfigure({metadata::AttrSubset::from_mask(0x7u)});
+  const core::UnitId added =
+      store.add_storage_unit([&] { return wal.log_add_unit(); });
+  const std::vector<metadata::AttrSubset> cands = {
+      metadata::AttrSubset::from_mask(0x7u)};
+  store.autoconfigure(cands, [&] { return wal.log_autoconfigure(cands); });
   for (auto& t : writers) t.join();
   EXPECT_GE(added, 6u);
 

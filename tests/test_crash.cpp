@@ -1,18 +1,22 @@
-// Crash-injection suite for the concurrent checkpoint protocol.
+// Crash-injection suite for the checkpoint protocol.
 //
-// Three attack angles on the same contract — recover() always lands on a
+// Four attack angles on the same contract — recovery always lands on a
 // consistent prefix of the acknowledged history, with no acknowledged
 // write lost and nothing applied twice:
 //
-//   1. a deterministic fault-point sweep: one fixed workload (inserts,
-//      a fuzzy checkpoint with mutations interleaved between its phases,
-//      a stop-the-world checkpoint) is killed at *every* snapshot section
-//      boundary, atomic-publish stage, WAL block boundary and rebase
-//      stage it passes, and recovery is verified from each crash state;
-//   2. a randomized oracle fuzz: insert/delete/reconfigure/checkpoint/
+//   1. deterministic fault-point sweeps: fixed workloads (WAL-logged
+//      inserts over per-unit shards, a fuzzy image with inserts between
+//      its phases, delta cuts, folds) are killed at *every* snapshot
+//      section boundary, atomic-publish stage, WAL block boundary, segment
+//      append stage and rebase stage they pass, and recovery is verified
+//      from each crash state;
+//   2. a coverage oracle: the union of the points those sweeps fired must
+//      be exactly the fault points src/persist/ declares, so every publish
+//      stage stays swept;
+//   3. a randomized oracle fuzz: insert/delete/reconfigure/cut/fold/
 //      crash/recover against an in-memory name-set oracle, with on-line
 //      point-query recall checked after every recovery;
-//   3. per-section snapshot corruption: one flipped bit in each
+//   4. per-section snapshot corruption: one flipped bit in each
 //      CRC-protected section (and in each stored CRC) must fail the load
 //      cleanly with PersistError — no crash, no partially loaded store.
 #include <gtest/gtest.h>
@@ -25,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "legacy_layout.h"
 #include "persist/delta_checkpoint.h"
 #include "persist/fault.h"
 #include "persist/recovery.h"
@@ -60,141 +65,7 @@ std::set<std::string> unit_names(const SmartStore& s) {
   return out;
 }
 
-// ---- 1. deterministic fault-point sweep -------------------------------------
-
-struct ScenarioResult {
-  std::vector<std::string> insert_order;  ///< every attempted insert
-  std::set<std::string> acked;            ///< durable when last op returned
-  std::set<std::string> base;             ///< population from build()
-  bool completed = false;
-};
-
-/// One fixed workload covering every write path: WAL-logged inserts
-/// (group commit 2), a fuzzy checkpoint with inserts interleaved between
-/// freeze / snapshot / rebase, a stop-the-world checkpoint against the
-/// live writer, and a trailing batch. Single-threaded so the fault-point
-/// sequence is deterministic. The durable baseline (build + first
-/// checkpoint) is written with faults disarmed — a crash before any
-/// checkpoint ever completed has nothing to recover from, by design —
-/// then `arm_at` arms the injector for the workload (0 = stay disarmed
-/// and reset the pass counter, for enumeration). An injected fault
-/// abandons the WAL handle, freezing the on-disk bytes exactly as the
-/// crash left them, and returns completed = false.
-ScenarioResult run_crash_scenario(const std::string& dir,
-                                  std::uint64_t arm_at) {
-  ScenarioResult res;
-
-  fault_disarm();
-  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
-                                                  /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-  res.base = unit_names(store);
-
-  const auto stream = tr.make_insert_stream(13, 77);
-  auto wal = std::make_unique<WalWriter>(wal_path(dir), /*group_commit=*/2);
-  checkpoint(store, dir, wal.get());
-
-  // Arm (or just reset the pass counter) only now: the baseline above is
-  // not part of the sweep, so the dry run's enumeration must start here.
-  if (arm_at > 0) {
-    fault_arm(arm_at);
-  } else {
-    fault_disarm();
-  }
-  try {
-    auto logged_insert = [&](const FileMetadata& f) {
-      res.insert_order.push_back(f.name);
-      wal->log_insert(f);  // may auto-commit (and crash) at the batch size
-      store.insert_file(f, 0.0);
-      const std::size_t durable =
-          res.insert_order.size() - wal->pending_records();
-      res.acked.clear();
-      for (std::size_t i = 0; i < durable; ++i)
-        res.acked.insert(res.insert_order[i]);
-    };
-
-    for (int i = 0; i < 4; ++i) logged_insert(stream[i]);
-
-    // Fuzzy checkpoint, phase by phase, with mutations in the gaps — the
-    // copy-on-write machinery and every publish stage are on the path.
-    wal->commit();
-    const WalFence fence{wal->generation(), wal->committed_records(), true};
-    const std::size_t fence_bytes = wal->committed_bytes();
-    store.begin_checkpoint();
-    logged_insert(stream[4]);
-    logged_insert(stream[5]);
-    save_snapshot_frozen(store, snapshot_path(dir), fence);
-    logged_insert(stream[6]);
-    wal->rebase(static_cast<std::size_t>(fence.records), fence_bytes);
-    store.end_checkpoint();
-
-    logged_insert(stream[7]);
-    logged_insert(stream[8]);
-    checkpoint(store, dir, wal.get());
-    for (int i = 9; i < 13; ++i) logged_insert(stream[i]);
-    wal->commit();
-    res.acked.clear();
-    for (const auto& name : res.insert_order) res.acked.insert(name);
-    res.completed = true;
-  } catch (const FaultInjected&) {
-    wal->abandon();  // the process died: nothing may touch the files now
-  }
-  return res;
-}
-
-TEST(CrashInjection, RecoveryIsConsistentAtEveryFaultPoint) {
-  // Dry run: enumerate the workload's fault points.
-  std::uint64_t total = 0;
-  {
-    const std::string dir = temp_dir("sweep_dry");
-    const ScenarioResult dry = run_crash_scenario(dir, 0);
-    ASSERT_TRUE(dry.completed);
-    total = fault_points_passed();
-    std::filesystem::remove_all(dir);
-  }
-  ASSERT_GT(total, 20u) << "the workload should cross many crash boundaries";
-
-  for (std::uint64_t k = 1; k <= total; ++k) {
-    const std::string dir = temp_dir("sweep_" + std::to_string(k));
-    const ScenarioResult r = run_crash_scenario(dir, k);
-    const std::string where = fault_last_fired();
-    fault_disarm();
-    ASSERT_FALSE(r.completed) << "fault " << k << " never fired";
-
-    RecoveryResult rec;
-    ASSERT_NO_THROW(rec = recover(dir))
-        << "recovery failed after crash at point " << k << " (" << where
-        << ")";
-    ASSERT_TRUE(rec.store) << where;
-    EXPECT_TRUE(rec.store->check_invariants()) << where;
-
-    // Consistent prefix: recovered = base + the first j attempted inserts,
-    // for some j covering at least every acknowledged one.
-    const std::set<std::string> got = unit_names(*rec.store);
-    std::set<std::string> expect = r.base;
-    std::size_t j = 0;
-    for (; j < r.insert_order.size(); ++j) {
-      if (!got.count(r.insert_order[j])) break;
-      expect.insert(r.insert_order[j]);
-    }
-    for (std::size_t t = j; t < r.insert_order.size(); ++t) {
-      EXPECT_FALSE(got.count(r.insert_order[t]))
-          << "non-prefix survivor " << r.insert_order[t] << " at point " << k
-          << " (" << where << ")";
-    }
-    EXPECT_EQ(got, expect) << "crash at point " << k << " (" << where << ")";
-    EXPECT_GE(j, r.acked.size())
-        << "lost an acknowledged write at point " << k << " (" << where
-        << ")";
-    std::filesystem::remove_all(dir);
-  }
-}
-
-// ---- 1b. sharded-WAL fault-point sweep --------------------------------------
+// ---- 1. deterministic fault-point sweeps ------------------------------------
 
 /// One logged insert's coordinates in the sharded log: which shard it
 /// landed on and its position in that shard's record order.
@@ -204,7 +75,7 @@ struct ShardedInsert {
   std::uint64_t idx = 0;  ///< records logged to that shard before this one
 };
 
-struct ShardedScenarioResult {
+struct ScenarioResult {
   std::vector<ShardedInsert> inserts;        ///< every attempted insert
   std::vector<std::uint64_t> committed;      ///< per-shard durable records
                                              ///< when the crash hit
@@ -212,224 +83,106 @@ struct ShardedScenarioResult {
   bool completed = false;
 };
 
-/// The sharded counterpart of run_crash_scenario: WAL-hooked inserts over
-/// per-unit shards (group commit 2), a fuzzy checkpoint driven through the
-/// store's frozen section with inserts between its phases (per-shard
-/// frontier fence, concurrent-protocol rebase), a stop-the-world sharded
-/// checkpoint, and a trailing batch. Single-threaded so the fault-point
-/// sequence is deterministic — the multi-writer interleavings are
-/// test_concurrent's job; every crash boundary is the same either way.
-ShardedScenarioResult run_sharded_crash_scenario(const std::string& dir,
-                                                 std::uint64_t arm_at) {
-  ShardedScenarioResult res;
+/// Durable frontiers, tracked CUMULATIVELY per shard: rebases drop durable
+/// prefixes out of committed_records(), so the running `dropped` baseline
+/// is added back — `committed[s] > idx` then compares in the same
+/// coordinate system as the cumulative `logged` indices. Snapshots are
+/// taken only at points the scenario knows to be quiescent; a crash leaves
+/// the previous (conservative) value, which can only under-count acked
+/// writes, never over-count.
+struct DurableTracker {
+  ScenarioResult& res;
+  ShardedWal& wal;
+  std::vector<std::uint64_t> logged;
+  std::vector<std::uint64_t> dropped;
 
-  fault_disarm();
-  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
-                                                  /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-  res.base = unit_names(store);
-
-  const auto stream = tr.make_insert_stream(13, 77);
-  auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units,
-                                          /*group_commit=*/2);
-  checkpoint(store, dir, *wal);
-
-  // Durable frontiers are tracked CUMULATIVELY per shard: rebases and
-  // resets drop durable prefixes out of committed_records(), so the
-  // running `dropped` baseline is added back — `committed[s] > idx` then
-  // compares in the same coordinate system as the cumulative `logged`
-  // indices. The snapshots are taken only at points the scenario knows to
-  // be quiescent; a crash leaves the previous (conservative) value, which
-  // can only under-count acked writes, never over-count.
-  std::vector<std::uint64_t> logged(cfg.num_units, 0);
-  std::vector<std::uint64_t> dropped(cfg.num_units, 0);
-  auto snapshot_committed = [&] {
-    res.committed.assign(wal->num_shards(), 0);
-    for (std::size_t s = 0; s < wal->num_shards(); ++s)
-      res.committed[s] =
-          (s < dropped.size() ? dropped[s] : 0) + wal->committed_records(s);
-  };
-
-  if (arm_at > 0) {
-    fault_arm(arm_at);
-  } else {
-    fault_disarm();
-  }
-  try {
-    auto logged_insert = [&](const FileMetadata& f) {
-      store.insert_file(f, 0.0, [&](core::UnitId target) {
-        // Record the (shard, index) BEFORE the log append: if the append's
-        // group commit crashes, this attempt is on file but never counted
-        // durable (committed_records stays behind it).
-        if (target >= logged.size()) logged.resize(target + 1, 0);
-        res.inserts.push_back({f.name, target, logged[target]++});
-        return wal->log_insert(target, f);
-      });
-      snapshot_committed();
-    };
-
-    for (int i = 0; i < 4; ++i) logged_insert(stream[i]);
-
-    // Fuzzy checkpoint, phase by phase, mirroring the background
-    // protocol: frontier fence inside the frozen section, mutations in
-    // the gaps, per-shard rebase at the end.
-    WalFence fence;
-    std::vector<std::size_t> fence_bytes;
-    store.begin_checkpoint([&] { fence = wal->frontier(&fence_bytes); });
+  /// WAL-hooked insert; records the (shard, index) BEFORE the append, so
+  /// an append whose group commit crashes is on file but never counted
+  /// durable.
+  void insert(SmartStore& store, const FileMetadata& f) {
+    store.insert_file(f, 0.0, [&](core::UnitId target) {
+      if (target >= logged.size()) logged.resize(target + 1, 0);
+      res.inserts.push_back({f.name, target, logged[target]++});
+      return wal.log_insert(target, f);
+    });
     snapshot_committed();
-    logged_insert(stream[4]);
-    logged_insert(stream[5]);
-    save_snapshot_frozen(store, snapshot_path(dir), fence);
-    logged_insert(stream[6]);
-    wal->rebase_to(fence, fence_bytes);
+  }
+
+  void snapshot_committed() {
+    res.committed.assign(wal.num_shards(), 0);
+    for (std::size_t s = 0; s < wal.num_shards(); ++s)
+      res.committed[s] =
+          (s < dropped.size() ? dropped[s] : 0) + wal.committed_records(s);
+  }
+
+  /// After a rebase to `fence`: its prefix left committed_records().
+  void rebased(const WalFence& fence) {
     for (const ShardFence& f : fence.shards) {
       if (f.shard >= dropped.size()) dropped.resize(f.shard + 1, 0);
       dropped[f.shard] += f.records;
     }
-    store.end_checkpoint();
     snapshot_committed();
-
-    logged_insert(stream[7]);
-    logged_insert(stream[8]);
-    checkpoint(store, dir, *wal);
-    // The stop-the-world checkpoint committed and subsumed everything.
-    for (std::size_t s = 0; s < logged.size(); ++s) dropped[s] = logged[s];
-    snapshot_committed();
-    for (int i = 9; i < 13; ++i) logged_insert(stream[i]);
-    wal->commit_all();
-    snapshot_committed();
-    res.completed = true;
-  } catch (const FaultInjected&) {
-    wal->abandon();  // the process died: nothing may touch the files now
   }
+
+  /// After a successful cut/fold: it committed every shard at its barrier,
+  /// so everything logged so far is durable regardless of which shards
+  /// its rebase touched.
+  void all_durable() {
+    dropped.resize(std::max(logged.size(), wal.num_shards()), 0);
+    for (std::size_t s = 0; s < logged.size(); ++s) dropped[s] = logged[s];
+    res.committed = dropped;
+  }
+};
+
+ScenarioResult start_scenario(SmartStore& store) {
+  ScenarioResult res;
+  store.build(trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
+                                              /*downscale=*/50)
+                  .files());
+  res.base = unit_names(store);
   return res;
 }
 
-TEST(CrashInjection, ShardedRecoveryLosesNoAckedWriteAtAnyFaultPoint) {
-  // Dry run: enumerate the workload's fault points.
-  std::uint64_t total = 0;
-  {
-    const std::string dir = temp_dir("shard_dry");
-    const ShardedScenarioResult dry = run_sharded_crash_scenario(dir, 0);
-    ASSERT_TRUE(dry.completed);
-    total = fault_points_passed();
-    std::filesystem::remove_all(dir);
-  }
-  ASSERT_GT(total, 25u) << "the sharded workload should cross many "
-                           "commit/rebase/reset boundaries";
-
-  for (std::uint64_t k = 1; k <= total; ++k) {
-    const std::string dir = temp_dir("shard_" + std::to_string(k));
-    const ShardedScenarioResult r = run_sharded_crash_scenario(dir, k);
-    const std::string where = fault_last_fired();
-    fault_disarm();
-    ASSERT_FALSE(r.completed) << "fault " << k << " never fired";
-
-    RecoveryResult rec;
-    ASSERT_NO_THROW(rec = recover(dir))
-        << "recovery failed after crash at point " << k << " (" << where
-        << ")";
-    ASSERT_TRUE(rec.store) << where;
-    EXPECT_TRUE(rec.store->check_invariants()) << where;
-    const std::set<std::string> got = unit_names(*rec.store);
-
-    // 1. No acknowledged write lost: an insert whose shard's durable
-    //    frontier passed it at crash time must survive recovery's
-    //    sequence-ordered merge replay.
-    for (const ShardedInsert& ins : r.inserts) {
-      const bool acked = ins.shard < r.committed.size() &&
-                         r.committed[ins.shard] > ins.idx;
-      if (acked) {
-        EXPECT_TRUE(got.count(ins.name))
-            << "lost acked write " << ins.name << " (shard " << ins.shard
-            << ") at point " << k << " (" << where << ")";
-      }
-    }
-    // 2. Nothing invented: every survivor is base population or an
-    //    attempted insert (applied exactly once — set semantics plus the
-    //    fence make a double replay a duplicate-id invariant failure).
-    std::set<std::string> attempted;
-    for (const ShardedInsert& ins : r.inserts) attempted.insert(ins.name);
-    for (const auto& name : got) {
-      EXPECT_TRUE(r.base.count(name) || attempted.count(name))
-          << "unexpected survivor " << name << " at point " << k << " ("
-          << where << ")";
-    }
-    // 3. Per-shard prefix: within one shard, survivors of this workload's
-    //    inserts form a prefix of that shard's log order (a torn tail
-    //    only ever drops a suffix).
-    std::map<std::size_t, std::vector<const ShardedInsert*>> by_shard;
-    for (const ShardedInsert& ins : r.inserts)
-      by_shard[ins.shard].push_back(&ins);
-    for (const auto& [shard, list] : by_shard) {
-      bool missing_seen = false;
-      for (const ShardedInsert* ins : list) {
-        const bool present = got.count(ins->name) > 0;
-        if (!present) missing_seen = true;
-        EXPECT_FALSE(present && missing_seen)
-            << "non-prefix survivor " << ins->name << " in shard " << shard
-            << " at point " << k << " (" << where << ")";
-      }
-    }
-    std::filesystem::remove_all(dir);
-  }
-}
-
-// ---- 1c. incremental-checkpoint fault-point sweep ---------------------------
-
-/// The delta-engine counterpart of run_sharded_crash_scenario: WAL-hooked
-/// inserts over per-unit shards, two delta cuts growing a chain on the
-/// baseline fold's base image, a compaction fold over that chain, a third
-/// cut onto the fresh base, and a quiesced full checkpoint over the delta
-/// state — so the sweep crosses every segment-append, manifest-publish,
-/// cut-rebase, fold-rebase, prune and manifest-clear boundary the
-/// incremental engine added. Single-threaded for a deterministic fault
-/// sequence. The disarmed baseline fold gives every crash state a
-/// manifest to recover from.
-ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
-                                               std::uint64_t arm_at) {
-  ShardedScenarioResult res;
-
-  fault_disarm();
-  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
-                                                  /*downscale=*/50);
+Config scenario_config() {
   Config cfg;
   cfg.num_units = 6;
   cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-  res.base = unit_names(store);
+  return cfg;
+}
 
-  const auto stream = tr.make_insert_stream(15, 77);
+std::vector<FileMetadata> scenario_stream(std::size_t n) {
+  return trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
+                                         /*downscale=*/50)
+      .make_insert_stream(n, 77);
+}
+
+/// A legacy-layout workload: WAL-hooked inserts over per-unit shards
+/// (group commit 2) on a snapshot.bin base, a fuzzy image driven through
+/// the store's frozen section with inserts between its phases (per-shard
+/// frontier fence, concurrent-protocol rebase) — the image a pre-manifest
+/// deployment left — then the engine's fold adopting that directory, and
+/// a trailing batch. Single-threaded so the fault-point sequence is
+/// deterministic — the multi-writer interleavings are test_concurrent's
+/// job; every crash boundary is the same either way. The durable baseline
+/// is written with faults disarmed (a crash before any checkpoint ever
+/// completed has nothing to recover from, by design); `arm_at` then arms
+/// the injector for the workload (0 = stay disarmed and reset the pass
+/// counter, for enumeration). An injected fault abandons the WAL handles,
+/// freezing the on-disk bytes exactly as the crash left them, and returns
+/// completed = false.
+ScenarioResult run_sharded_crash_scenario(const std::string& dir,
+                                          std::uint64_t arm_at) {
+  fault_disarm();
+  const Config cfg = scenario_config();
+  SmartStore store(cfg);
+  ScenarioResult res = start_scenario(store);
+  const auto stream = scenario_stream(13);
   auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units,
                                           /*group_commit=*/2);
+  fixtures::save_image(store, snapshot_path(dir), wal->frontier());
   DeltaEngine engine(store, *wal, dir);
-  engine.fold();  // baseline: ckpt/base-1.bin + an empty-chain manifest
-
-  std::vector<std::uint64_t> logged(cfg.num_units, 0);
-  std::vector<std::uint64_t> dropped(cfg.num_units, 0);
-  auto snapshot_committed = [&] {
-    res.committed.assign(wal->num_shards(), 0);
-    for (std::size_t s = 0; s < wal->num_shards(); ++s)
-      res.committed[s] =
-          (s < dropped.size() ? dropped[s] : 0) + wal->committed_records(s);
-  };
-  // A successful cut/fold committed every shard at its barrier (and a
-  // quiesced checkpoint at its fence), so everything logged so far is
-  // durable regardless of which shards the rebase touched.
-  auto mark_all_durable = [&] {
-    for (std::size_t s = 0; s < logged.size(); ++s) dropped[s] = logged[s];
-    for (std::size_t s = 0; s < wal->num_shards(); ++s) {
-      if (s >= dropped.size()) dropped.resize(s + 1, 0);
-    }
-    res.committed.assign(std::max(dropped.size(), wal->num_shards()), 0);
-    for (std::size_t s = 0; s < res.committed.size(); ++s)
-      res.committed[s] = s < dropped.size() ? dropped[s] : 0;
-  };
+  DurableTracker t{res, *wal, std::vector<std::uint64_t>(cfg.num_units, 0),
+                   std::vector<std::uint64_t>(cfg.num_units, 0)};
 
   if (arm_at > 0) {
     fault_arm(arm_at);
@@ -437,41 +190,29 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
     fault_disarm();
   }
   try {
-    auto logged_insert = [&](const FileMetadata& f) {
-      store.insert_file(f, 0.0, [&](core::UnitId target) {
-        if (target >= logged.size()) logged.resize(target + 1, 0);
-        res.inserts.push_back({f.name, target, logged[target]++});
-        return wal->log_insert(target, f);
-      });
-      snapshot_committed();
-    };
+    for (int i = 0; i < 4; ++i) t.insert(store, stream[i]);
 
-    for (int i = 0; i < 4; ++i) logged_insert(stream[i]);
-    engine.cut();  // cut #1: segment appends + manifest + rebase
-    mark_all_durable();
+    // Fuzzy image, phase by phase: frontier fence inside the frozen
+    // section, mutations in the gaps, per-shard rebase at the end.
+    WalFence fence;
+    std::vector<std::size_t> fence_bytes;
+    store.begin_checkpoint([&] { fence = wal->frontier(&fence_bytes); });
+    t.snapshot_committed();
+    t.insert(store, stream[4]);
+    t.insert(store, stream[5]);
+    save_snapshot_frozen(store, snapshot_path(dir), fence);
+    t.insert(store, stream[6]);
+    wal->rebase_to(fence, fence_bytes);
+    t.rebased(fence);
+    store.end_checkpoint();
 
-    for (int i = 4; i < 7; ++i) logged_insert(stream[i]);
-    engine.cut();  // cut #2: the chain grows
-    mark_all_durable();
-
-    for (int i = 7; i < 9; ++i) logged_insert(stream[i]);
-    engine.fold();  // compaction: fresh base, empty chain, prune
-    mark_all_durable();
-
-    for (int i = 9; i < 11; ++i) logged_insert(stream[i]);
-    engine.cut();  // cut #3: first cut onto the folded base
-    mark_all_durable();
-
-    for (int i = 11; i < 13; ++i) logged_insert(stream[i]);
-    // Quiesced full checkpoint over a directory holding delta state: the
-    // manifest must be cleared AFTER the image publish and BEFORE the WAL
-    // reset (the checkpoint:pre-ckpt-clear window).
-    checkpoint(store, dir, *wal);
-    mark_all_durable();
-
-    for (int i = 13; i < 15; ++i) logged_insert(stream[i]);
+    t.insert(store, stream[7]);
+    t.insert(store, stream[8]);
+    engine.fold();  // adopts the directory: base-1 + manifest, prunes
+    t.all_durable();
+    for (int i = 9; i < 13; ++i) t.insert(store, stream[i]);
     wal->commit_all();
-    snapshot_committed();
+    t.snapshot_committed();
     res.completed = true;
   } catch (const FaultInjected&) {
     wal->abandon();  // the process died: nothing may touch the files now
@@ -479,27 +220,85 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
   return res;
 }
 
-TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
-  // Dry run: enumerate the workload's fault points.
+/// The delta-engine workload: WAL-hooked inserts over per-unit shards, two
+/// delta cuts growing a chain on the baseline fold's base image, a
+/// compaction fold over that chain, a third cut onto the fresh base, and a
+/// trailing batch — so the sweep crosses every segment-append,
+/// manifest-publish, cut-rebase, fold-rebase and prune boundary. The
+/// disarmed baseline fold gives every crash state a manifest to recover
+/// from.
+ScenarioResult run_delta_crash_scenario(const std::string& dir,
+                                        std::uint64_t arm_at) {
+  fault_disarm();
+  const Config cfg = scenario_config();
+  SmartStore store(cfg);
+  ScenarioResult res = start_scenario(store);
+  const auto stream = scenario_stream(13);
+  auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units,
+                                          /*group_commit=*/2);
+  DeltaEngine engine(store, *wal, dir);
+  engine.fold();  // baseline: ckpt/base-1.bin + an empty-chain manifest
+  DurableTracker t{res, *wal, std::vector<std::uint64_t>(cfg.num_units, 0),
+                   std::vector<std::uint64_t>(cfg.num_units, 0)};
+
+  if (arm_at > 0) {
+    fault_arm(arm_at);
+  } else {
+    fault_disarm();
+  }
+  try {
+    for (int i = 0; i < 4; ++i) t.insert(store, stream[i]);
+    engine.cut();  // cut #1: segment appends + manifest + rebase
+    t.all_durable();
+
+    for (int i = 4; i < 7; ++i) t.insert(store, stream[i]);
+    engine.cut();  // cut #2: the chain grows
+    t.all_durable();
+
+    for (int i = 7; i < 9; ++i) t.insert(store, stream[i]);
+    engine.fold();  // compaction: fresh base, empty chain, prune
+    t.all_durable();
+
+    for (int i = 9; i < 11; ++i) t.insert(store, stream[i]);
+    engine.cut();  // cut #3: first cut onto the folded base
+    t.all_durable();
+
+    for (int i = 11; i < 13; ++i) t.insert(store, stream[i]);
+    wal->commit_all();
+    t.snapshot_committed();
+    res.completed = true;
+  } catch (const FaultInjected&) {
+    wal->abandon();  // the process died: nothing may touch the files now
+  }
+  return res;
+}
+
+using Scenario = ScenarioResult (*)(const std::string&, std::uint64_t);
+
+/// Dry-runs `run` to enumerate its fault points, then crashes it at each
+/// one and checks recovery: no acknowledged write lost, nothing applied
+/// twice, nothing invented, survivors a prefix of each shard's log order.
+/// Collects the name of every point that fired into `fired`.
+void sweep(const std::string& tag, Scenario run, std::uint64_t min_points,
+           std::set<std::string>* fired) {
   std::uint64_t total = 0;
   {
-    const std::string dir = temp_dir("delta_dry");
-    const ShardedScenarioResult dry = run_delta_crash_scenario(dir, 0);
+    const std::string dir = temp_dir(tag + "_dry");
+    const ScenarioResult dry = run(dir, 0);
     ASSERT_TRUE(dry.completed);
     total = fault_points_passed();
     std::filesystem::remove_all(dir);
   }
-  ASSERT_GT(total, 40u) << "the delta workload should cross many segment/"
-                           "manifest/rebase/prune boundaries";
+  ASSERT_GT(total, min_points) << "the " << tag << " workload should cross "
+                                  "many publish/commit/rebase boundaries";
 
-  std::set<std::string> fired;
   for (std::uint64_t k = 1; k <= total; ++k) {
-    const std::string dir = temp_dir("delta_" + std::to_string(k));
-    const ShardedScenarioResult r = run_delta_crash_scenario(dir, k);
+    const std::string dir = temp_dir(tag + "_" + std::to_string(k));
+    const ScenarioResult r = run(dir, k);
     const std::string where = fault_last_fired();
     fault_disarm();
     ASSERT_FALSE(r.completed) << "fault " << k << " never fired";
-    fired.insert(where);
+    fired->insert(where);
 
     RecoveryResult rec;
     ASSERT_NO_THROW(rec = recover(dir))
@@ -520,10 +319,9 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
             << ") at point " << k << " (" << where << ")";
       }
     }
-    // 2. Nothing applied twice: a folded delta replayed over a base that
-    //    already contains it would duplicate ids — total_files() counts
-    //    records, unit_names() dedups, so equality proves single-apply
-    //    (check_invariants also cross-checks ids).
+    // 2. Nothing applied twice: a record replayed over an image that
+    //    already contains it would duplicate it — total_files() counts
+    //    records, unit_names() dedups, so equality proves single-apply.
     EXPECT_EQ(rec.store->total_files(), got.size())
         << "double-applied record at point " << k << " (" << where << ")";
     // 3. Nothing invented.
@@ -534,7 +332,8 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
           << "unexpected survivor " << name << " at point " << k << " ("
           << where << ")";
     }
-    // 4. Per-shard prefix: survivors form a prefix of each shard's order.
+    // 4. Per-shard prefix: survivors form a prefix of each shard's order
+    //    (a torn tail only ever drops a suffix).
     std::map<std::size_t, std::vector<const ShardedInsert*>> by_shard;
     for (const ShardedInsert& ins : r.inserts)
       by_shard[ins.shard].push_back(&ins);
@@ -550,91 +349,61 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
     }
     std::filesystem::remove_all(dir);
   }
-
-  // The sweep must actually have crossed every publish stage the
-  // incremental engine added — a silently skipped stage would void the
-  // whole exercise.
-  for (const char* point :
-       {"ckpt:manifest:torn-temp", "ckpt:manifest:pre-rename",
-        "ckpt:manifest:pre-dirsync", "delta:seg:pre-truncate",
-        "delta:seg:pre-append", "delta:seg:pre-sync", "delta:pre-rebase",
-        "compact:pre-rebase", "compact:pre-prune",
-        "checkpoint:pre-ckpt-clear"}) {
-    EXPECT_TRUE(fired.count(point)) << "sweep never crossed " << point;
-  }
 }
 
-// ---- 1d. single-log -> sharded migration ------------------------------------
-
-TEST(CrashInjection, ShardedCheckpointFencesLeftoverLegacyLog) {
-  // A PR-3-era deployment carries wal.bin; the first sharded checkpoint
-  // over that directory must FENCE the legacy records inside the snapshot
-  // it publishes — a crash between the snapshot rename and the legacy
-  // log's emptying would otherwise replay them over an image that already
-  // contains them (duplicate records, the exact double-apply the fence
-  // protocol exists to prevent).
-  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
-                                                  /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  const auto stream = tr.make_insert_stream(4, 77);
-
-  // Builds the legacy-era directory: quiesced single-log checkpoint, then
-  // four committed wal.bin records the snapshot does not contain.
-  const std::string dir = temp_dir("legacy_migrate");
-  auto make_legacy_dir = [&] {
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    SmartStore base(cfg);
-    base.build(tr.files());
-    auto lw = std::make_unique<WalWriter>(wal_path(dir), /*group_commit=*/2);
-    checkpoint(base, dir, lw.get());
-    for (const auto& f : stream) {
-      lw->log_insert(f);
-      base.insert_file(f, 0.0);
-    }
-    lw->commit();
-  };
-
-  // Sweep the sharded checkpoint's fault points until the classic window
-  // fires (snapshot published, logs not yet emptied), resetting the
-  // directory between attempts so every try crosses the same boundaries.
-  bool hit_window = false;
-  std::set<std::string> before;
-  for (std::uint64_t k = 1; k <= 64 && !hit_window; ++k) {
-    fault_disarm();
-    make_legacy_dir();
-    auto rec = recover(dir);  // replays the 4 legacy records
-    ASSERT_EQ(rec.wal_records, 4u);
-    before = unit_names(*rec.store);
-    ShardedWal wal(dir, cfg.num_units, /*group_commit=*/2);
-    fault_arm(k);
-    try {
-      checkpoint(*rec.store, dir, wal);
-      fault_disarm();
-      break;  // ran out of fault points without reaching the window
-    } catch (const FaultInjected&) {
-      hit_window = fault_last_fired() == "checkpoint:pre-wal-reset";
-      wal.abandon();
-    }
-  }
-  fault_disarm();
-  ASSERT_TRUE(hit_window) << "sweep never reached checkpoint:pre-wal-reset";
-
-  // Recovery from the window: the snapshot's fence must suppress the
-  // legacy records it already contains — same population, no duplicates.
-  const RecoveryResult after = recover(dir);
-  ASSERT_TRUE(after.store);
-  EXPECT_TRUE(after.store->check_invariants());
-  EXPECT_EQ(after.wal_records, 0u);
-  EXPECT_EQ(after.wal_fenced, 4u);
-  EXPECT_EQ(unit_names(*after.store), before);
-  EXPECT_EQ(after.store->total_files(), before.size());
-  std::filesystem::remove_all(dir);
+// Each sweep runs once per process; the coverage oracle reuses its result.
+const std::set<std::string>& sharded_sweep() {
+  static const std::set<std::string> fired = [] {
+    std::set<std::string> f;
+    sweep("shard", run_sharded_crash_scenario, 25, &f);
+    return f;
+  }();
+  return fired;
 }
 
-// ---- 2. randomized oracle fuzz ----------------------------------------------
+const std::set<std::string>& delta_sweep() {
+  static const std::set<std::string> fired = [] {
+    std::set<std::string> f;
+    sweep("delta", run_delta_crash_scenario, 40, &f);
+    return f;
+  }();
+  return fired;
+}
+
+TEST(CrashInjection, ShardedRecoveryLosesNoAckedWriteAtAnyFaultPoint) {
+  EXPECT_FALSE(sharded_sweep().empty());
+}
+
+TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
+  EXPECT_FALSE(delta_sweep().empty());
+}
+
+// ---- 2. fault-point coverage oracle -----------------------------------------
+
+TEST(CrashInjection, SweepsCrossEveryFaultPointInPersist) {
+  // Every fault_point() and write_file_atomic_faulted() prefix left in
+  // src/persist/, each publish prefix with its three stages. A point added
+  // there must join a sweep and this list; a point no sweep reaches is a
+  // publish stage whose crash window nothing checks.
+  std::set<std::string> expected = {
+      "snapshot:section:config",   "snapshot:section:standardizer",
+      "snapshot:section:units",    "snapshot:section:tree",
+      "snapshot:section:variants", "snapshot:section:sync",
+      "snapshot:section:walfence", "delta:seg:pre-truncate",
+      "delta:seg:pre-append",      "delta:seg:pre-sync",
+      "delta:pre-rebase",          "compact:pre-rebase",
+      "compact:pre-prune",         "wal:commit:torn-block",
+      "wal:commit:pre-sync",       "wal:rebase:begin"};
+  for (const char* prefix : {"snapshot:write", "ckpt:manifest", "wal:rebase"})
+    for (const char* stage : {":torn-temp", ":pre-rename", ":pre-dirsync"})
+      expected.insert(std::string(prefix) + stage);
+
+  std::set<std::string> fired = sharded_sweep();
+  fired.insert(delta_sweep().begin(), delta_sweep().end());
+  EXPECT_EQ(fired, expected);
+}
+
+// ---- 3. randomized oracle fuzz ----------------------------------------------
 
 TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   fault_disarm();
@@ -650,13 +419,22 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   std::set<std::string> oracle = unit_names(*store);
   std::vector<std::string> live_names(oracle.begin(), oracle.end());
 
-  checkpoint(*store, dir);
-  auto wal = std::make_unique<WalWriter>(wal_path(dir), /*group_commit=*/3);
+  std::unique_ptr<ShardedWal> wal;
+  std::unique_ptr<DeltaEngine> engine;
+  // (Re)attaches the log and the engine the way Store::Open does.
+  auto attach = [&] {
+    wal = std::make_unique<ShardedWal>(dir, store->units().size(),
+                                       /*group_commit=*/3);
+    wal->ensure_seq_at_least(store->last_commit_seq() + 1);
+    engine = std::make_unique<DeltaEngine>(*store, *wal, dir);
+  };
+  attach();
+  engine->fold();
 
   const auto pool = tr.make_insert_stream(400, 123);
   std::size_t cursor = 0;
   util::Rng rng(2024);
-  std::size_t crashes = 0, checkpoints = 0;
+  std::size_t crashes = 0, cuts = 0, folds = 0;
 
   auto verify_against_oracle = [&](const SmartStore& s) {
     ASSERT_EQ(unit_names(s), oracle);
@@ -668,8 +446,9 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
     const double r = rng.uniform();
     if (r < 0.55 && cursor < pool.size()) {
       const FileMetadata& f = pool[cursor++];
-      wal->log_insert(f);
-      store->insert_file(f, 0.0);
+      store->insert_file(f, 0.0, [&](core::UnitId target) {
+        return wal->log_insert(target, f);
+      });
       oracle.insert(f.name);
       live_names.push_back(f.name);
     } else if (r < 0.72 && !live_names.empty()) {
@@ -679,13 +458,13 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
       live_names.erase(live_names.begin() +
                        static_cast<std::ptrdiff_t>(pick));
       if (oracle.count(name)) {
-        ASSERT_TRUE(store->erase_file(name)) << name;
-        wal->log_remove(name);
+        ASSERT_TRUE(store->erase_file(name, [&](core::UnitId located) {
+          return wal->log_remove(located, name);
+        })) << name;
         oracle.erase(name);
       }
     } else if (r < 0.77) {
-      wal->log_add_unit();
-      store->add_storage_unit();
+      store->add_storage_unit([&] { return wal->log_add_unit(); });
     } else if (r < 0.80) {
       // Remove a random active unit, keeping a quorum alive.
       std::vector<core::UnitId> active;
@@ -694,38 +473,31 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
       if (active.size() > 5) {
         const core::UnitId u = active[static_cast<std::size_t>(
             rng.uniform_u64(active.size()))];
-        wal->log_remove_unit(u);
-        store->remove_storage_unit(u);
+        store->remove_storage_unit(u, [&] { return wal->log_remove_unit(u); });
       }
     } else if (r < 0.84) {
       const std::vector<AttrSubset> cands = {
           AttrSubset::from_mask(0x7u), AttrSubset::from_mask(0x1Fu)};
-      wal->log_autoconfigure(cands);
-      store->autoconfigure(cands);
+      store->autoconfigure(cands,
+                           [&] { return wal->log_autoconfigure(cands); });
     } else if (r < 0.92) {
-      // Fuzzy checkpoint with a mutation landing mid-snapshot (COW path).
-      wal->commit();
-      const WalFence fence{wal->generation(), wal->committed_records(), true};
-      store->begin_checkpoint();
-      if (cursor < pool.size()) {
-        const FileMetadata& f = pool[cursor++];
-        wal->log_insert(f);
-        store->insert_file(f, 0.0);
-        oracle.insert(f.name);
-        live_names.push_back(f.name);
+      // Every third checkpoint folds the chain; the rest cut deltas.
+      if ((cuts + folds) % 3 == 2) {
+        engine->fold();
+        ++folds;
+      } else {
+        engine->cut();
+        ++cuts;
       }
-      save_snapshot_frozen(*store, snapshot_path(dir), fence);
-      wal->rebase(static_cast<std::size_t>(fence.records));
-      store->end_checkpoint();
-      ++checkpoints;
     } else {
       // Simulated crash at a commit boundary, then recovery.
-      wal->commit();
+      wal->commit_all();
+      engine.reset();
       wal.reset();
       store.reset();
       RecoveryResult rec = recover(dir);
       store = std::move(rec.store);
-      wal = std::make_unique<WalWriter>(wal_path(dir), /*group_commit=*/3);
+      attach();
       ++crashes;
       verify_against_oracle(*store);
 
@@ -740,18 +512,20 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   }
 
   // Final crash + recovery + full comparison.
-  wal->commit();
+  wal->commit_all();
+  engine.reset();
   wal.reset();
   store.reset();
   RecoveryResult rec = recover(dir);
   ASSERT_TRUE(rec.store);
   verify_against_oracle(*rec.store);
   EXPECT_GE(crashes, 1u);
-  EXPECT_GE(checkpoints, 1u);
+  EXPECT_GE(cuts, 1u);
+  EXPECT_GE(folds, 1u);
   std::filesystem::remove_all(dir);
 }
 
-// ---- 3. per-section snapshot corruption -------------------------------------
+// ---- 4. per-section snapshot corruption -------------------------------------
 
 struct SectionSpan {
   std::uint32_t id = 0;
@@ -793,7 +567,7 @@ TEST(SnapshotCorruption, OneFlippedBitInAnySectionFailsLoadCleanly) {
   // non-trivial too.
   store.autoconfigure({AttrSubset::from_mask(0x7u)});
   const std::string path = snapshot_path(dir);
-  save_snapshot(store, path, WalFence{99, 3, true});
+  fixtures::save_image(store, path, WalFence{99, 3, true, {}});
 
   const auto pristine = util::read_file_bytes(path);
   ASSERT_NO_THROW(load_snapshot(path));

@@ -1,10 +1,10 @@
-// The incremental-checkpoint engine, end to end: delta cuts and recovery
-// round trips at the persist layer (DeltaEngine over a sharded WAL),
-// chain folds and pruning, offline reconstruction at the last cut, the
-// background Compactor's budget policy — and the db::Store facade wiring
-// (Checkpoint-as-cut, Compact(), DumpSnapshot rerouting, the
-// smartstore.ckpt.* properties, adaptive group commit, and the
-// cadence-counter coalescing regression).
+// The checkpoint engine, end to end: delta cuts and recovery round trips
+// at the persist layer (DeltaEngine over a sharded WAL), chain folds and
+// pruning, offline reconstruction at the last cut, the background slot's
+// budget policy — and the db::Store facade wiring (Checkpoint-as-cut,
+// fold-only checkpoints without a WAL, Compact(), DumpSnapshot rerouting,
+// the smartstore.ckpt.* and smartstore.snapshot.* properties, adaptive
+// group commit, and the cadence-counter coalescing regression).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/smartstore.h"
-#include "persist/compactor.h"
+#include "persist/bg_checkpoint.h"
 #include "persist/delta_checkpoint.h"
 #include "persist/recovery.h"
 #include "persist/segment.h"
@@ -200,35 +200,45 @@ TEST(DeltaCkpt, ReconstructAtLastCutIgnoresRecordsAfterTheCut) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DeltaCkpt, CompactorFoldsWhenChainExceedsBudget) {
-  const auto dir = temp_dir("compactor");
+TEST(DeltaCkpt, BudgetFoldFollowsTheCutThatPassesIt) {
+  const auto dir = temp_dir("budget");
   EngineRig rig(dir);
   DeltaEngine engine(rig.store, rig.wal, rig.dir);
   util::ThreadPool pool(2);
-  Compactor compactor(engine, pool, /*max_chain_len=*/2,
-                      /*max_chain_bytes=*/0);
+  BackgroundCheckpointer bg(engine, pool, /*max_chain_len=*/2,
+                            /*max_chain_bytes=*/0);
 
   std::uint64_t next = 0;
   auto churn_and_cut = [&] {
     for (int i = 0; i < 3; ++i) rig.insert(next++);
-    engine.cut();
+    ASSERT_TRUE(bg.trigger());
+    bg.wait();
   };
   churn_and_cut();  // fold #1 (no base yet), chain 0
-  churn_and_cut();  // chain 1
-  EXPECT_FALSE(compactor.maybe_schedule());  // under budget
+  churn_and_cut();  // chain 1 — under budget
   churn_and_cut();  // chain 2 — still not PAST the budget (strict >)
-  EXPECT_FALSE(compactor.maybe_schedule());
-  churn_and_cut();  // chain 3 — over budget now
-  EXPECT_TRUE(compactor.maybe_schedule());
-  EXPECT_TRUE(compactor.wait());
+  EXPECT_EQ(bg.folds_scheduled(), 0u);
+  EXPECT_EQ(engine.chain_len(), 2u);
+  churn_and_cut();  // chain 3 — over budget: the same slot run folds
+  EXPECT_EQ(bg.folds_scheduled(), 1u);
   EXPECT_EQ(engine.chain_len(), 0u);
-  EXPECT_GE(engine.folds(), 2u);
-  EXPECT_EQ(compactor.scheduled(), 1u);
+  EXPECT_EQ(engine.folds(), 2u);
 
   RecoveryResult rec = recover(dir.string());
   ASSERT_TRUE(rec.store);
   EXPECT_EQ(store_names(*rec.store), rig.inserted);
   std::filesystem::remove_all(dir);
+}
+
+TEST(DeltaCkpt, EngineRefusesAWalOwningAnotherDirectory) {
+  // Every fence and rebase pairs with <dir>/wal/: an engine over another
+  // directory's log would fence records its checkpoint never contains.
+  const auto dir = temp_dir("foreign_a");
+  const auto other = temp_dir("foreign_b");
+  EngineRig rig(dir);
+  EXPECT_THROW(DeltaEngine(rig.store, rig.wal, other.string()), PersistError);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(other);
 }
 
 // ---- db facade --------------------------------------------------------------
@@ -313,20 +323,69 @@ TEST(DeltaDb, CompactFoldsTheChainAndSurvivesReopen) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DeltaDb, FullCheckpointModeReportsDeltaDisabled) {
-  const auto dir = temp_dir("db_full_mode");
+TEST(DeltaDb, WalOffStoreCheckpointsByFold) {
+  // Without a WAL a cut would see nothing: Checkpoint() folds instead, and
+  // the fold must capture every unlogged mutation.
+  const auto dir = temp_dir("db_wal_off");
   db::Options o = small_options();
-  o.incremental_checkpoints = false;
-  auto store = open_or_die(o, dir.string());
-  ASSERT_TRUE(store->Put(make_file(1)).ok());
-  ASSERT_TRUE(store->Checkpoint().ok());
+  o.enable_wal = false;
+  {
+    auto store = open_or_die(o, dir.string());
+    for (std::uint64_t i = 0; i < 5; ++i)
+      ASSERT_TRUE(store->Put(make_file(i)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    ASSERT_TRUE(store->Put(make_file(5)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    std::string v;
+    ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-enabled", &v));
+    EXPECT_EQ(v, "0");
+    ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-cuts", &v));
+    EXPECT_EQ(v, "0");
+    ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-folds", &v));
+    EXPECT_EQ(v, "2");
+    EXPECT_TRUE(store->Compact().ok());
+    ASSERT_TRUE(store->Close().ok());
+  }
+  auto reopened = open_or_die(o, dir.string());
+  EXPECT_TRUE(reopened->recovery_info().used_manifest);
   std::string v;
-  ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-enabled", &v));
-  EXPECT_EQ(v, "0");
-  ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-cuts", &v));
-  EXPECT_EQ(v, "0");
-  // Compact() must degrade to a plain full checkpoint, not fail.
-  EXPECT_TRUE(store->Compact().ok());
+  ASSERT_TRUE(reopened->GetProperty("smartstore.total-files", &v));
+  EXPECT_EQ(v, "6");
+  ASSERT_TRUE(reopened->Close().ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DeltaDb, SnapshotPropertiesReportTheManifestBaseImage) {
+  // The first cut of a fresh store escalates to a fold, which publishes
+  // ckpt/base-<id>.bin and prunes snapshot.bin: the properties must name
+  // the image the manifest reads, not the pruned legacy file.
+  const auto dir = temp_dir("db_snapshot_props");
+  auto store = open_or_die(small_options(), dir.string());
+  auto check_base = [&](const char* when) {
+    std::string path, bytes;
+    ASSERT_TRUE(store->GetProperty("smartstore.snapshot.path", &path)) << when;
+    ASSERT_TRUE(std::filesystem::exists(path)) << when << ": " << path;
+    EXPECT_EQ(path, persist::base_image_path(dir.string(),
+                                             persist::read_manifest(
+                                                 dir.string())))
+        << when;
+    ASSERT_TRUE(store->GetProperty("smartstore.snapshot.bytes", &bytes))
+        << when;
+    EXPECT_EQ(std::stoull(bytes), std::filesystem::file_size(path)) << when;
+  };
+  std::string none;
+  EXPECT_FALSE(store->GetProperty("smartstore.snapshot.path", &none))
+      << "nothing checkpointed yet, got " << none;
+  for (std::uint64_t i = 0; i < 30; ++i)
+    ASSERT_TRUE(store->Put(make_file(i)).ok());
+  ASSERT_TRUE(store->Checkpoint().ok());  // fold (fresh store)
+  check_base("after the first checkpoint");
+  for (std::uint64_t i = 30; i < 35; ++i)
+    ASSERT_TRUE(store->Put(make_file(i)).ok());
+  ASSERT_TRUE(store->Checkpoint().ok());  // delta cut on that base
+  check_base("after a cut");
+  ASSERT_TRUE(store->Compact().ok());  // a fresh base; the old one pruned
+  check_base("after a compaction");
   ASSERT_TRUE(store->Close().ok());
   std::filesystem::remove_all(dir);
 }

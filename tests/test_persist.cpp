@@ -1,7 +1,8 @@
 // The crash-consistent persistence layer: binary io bounds checking, CRC32
 // vectors, snapshot round-trip fidelity (identical query results on an
 // HP-profile deployment), corruption detection, WAL group commit, torn-tail
-// recovery to the last commit boundary, and the checkpoint/recover protocol.
+// recovery to the last commit boundary, the read-only legacy WAL layouts,
+// and recovery from a snapshot image plus logs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +14,11 @@
 #include <string>
 
 #include "core/ground_truth.h"
+#include "legacy_layout.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
+#include "persist/wal_shard.h"
 #include "trace/query_gen.h"
 #include "trace/synth.h"
 #include "util/binary_io.h"
@@ -30,6 +33,10 @@ using core::SmartStore;
 using metadata::AttrSubset;
 using metadata::FileId;
 using metadata::FileMetadata;
+using fixtures::insert_record;
+using fixtures::remove_record;
+using fixtures::save_image;
+using fixtures::write_legacy_wal;
 
 std::string temp_dir(const char* tag) {
   const auto dir = std::filesystem::temp_directory_path() /
@@ -122,7 +129,7 @@ class SnapshotTest : public ::testing::Test {
 TEST_F(SnapshotTest, RoundTripPreservesStructure) {
   const std::string dir = temp_dir("structure");
   const std::string path = snapshot_path(dir);
-  save_snapshot(*store_, path);
+  save_image(*store_, path);
 
   auto loaded = load_snapshot(path);
   ASSERT_TRUE(loaded);
@@ -142,7 +149,7 @@ TEST_F(SnapshotTest, RoundTripPreservesStructure) {
 TEST_F(SnapshotTest, RoundTripYieldsIdenticalQueryResults) {
   const std::string dir = temp_dir("queries");
   const std::string path = snapshot_path(dir);
-  save_snapshot(*store_, path);
+  save_image(*store_, path);
   auto loaded = load_snapshot(path);
 
   // Pre-generate the batches so both stores see the same query stream;
@@ -196,7 +203,7 @@ TEST_F(SnapshotTest, SurvivesPostBuildMutations) {
   ASSERT_TRUE(store_->check_invariants());
 
   const std::string dir = temp_dir("mutated");
-  save_snapshot(*store_, snapshot_path(dir));
+  save_image(*store_, snapshot_path(dir));
   auto loaded = load_snapshot(snapshot_path(dir));
   EXPECT_TRUE(loaded->check_invariants());
   EXPECT_EQ(loaded->total_files(), store_->total_files());
@@ -210,7 +217,7 @@ TEST_F(SnapshotTest, SurvivesPostBuildMutations) {
 TEST_F(SnapshotTest, CorruptedSectionFailsLoad) {
   const std::string dir = temp_dir("corrupt");
   const std::string path = snapshot_path(dir);
-  save_snapshot(*store_, path);
+  save_image(*store_, path);
 
   auto bytes = util::read_file_bytes(path);
   bytes[bytes.size() / 2] ^= 0x40;  // flip one bit mid-file
@@ -221,7 +228,7 @@ TEST_F(SnapshotTest, CorruptedSectionFailsLoad) {
 TEST_F(SnapshotTest, TruncatedFileFailsLoad) {
   const std::string dir = temp_dir("truncated");
   const std::string path = snapshot_path(dir);
-  save_snapshot(*store_, path);
+  save_image(*store_, path);
 
   auto bytes = util::read_file_bytes(path);
   bytes.resize(bytes.size() * 3 / 4);
@@ -239,16 +246,28 @@ TEST_F(SnapshotTest, BadMagicFailsLoad) {
 
 // ---- WAL --------------------------------------------------------------------
 
+/// A v03 log path (the layout every shard log uses).
+std::string log_path(const std::string& dir) {
+  return (std::filesystem::path(dir) / "0.log").string();
+}
+
+/// Logs `stream` as inserts stamped 1, 2, ...
+void log_inserts(WalWriter& wal, const std::vector<FileMetadata>& stream,
+                 std::uint64_t first_seq = 1) {
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    wal.log(insert_record(stream[i], first_seq + i));
+}
+
 TEST(Wal, GroupCommitBatchesRecords) {
   const std::string dir = temp_dir("wal_batch");
-  const std::string path = wal_path(dir);
+  const std::string path = log_path(dir);
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(10, 5);
 
   {
     WalWriter wal(path, /*group_commit=*/4);
-    for (const auto& f : stream) wal.log_insert(f);
+    log_inserts(wal, stream);
     // 10 records at batch 4: blocks of 4+4 committed, 2 still pending.
     EXPECT_EQ(wal.committed_records(), 8u);
     EXPECT_EQ(wal.pending_records(), 2u);
@@ -256,10 +275,13 @@ TEST(Wal, GroupCommitBatchesRecords) {
 
   const WalScan scan = scan_wal(path);
   EXPECT_FALSE(scan.torn_tail);
+  EXPECT_TRUE(scan.v3_magic);
   EXPECT_EQ(scan.blocks, 3u);
+  EXPECT_EQ(scan.max_seq, 10u);
   ASSERT_EQ(scan.records.size(), 10u);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     EXPECT_EQ(scan.records[i].type, WalRecordType::kInsert);
+    EXPECT_EQ(scan.records[i].seq, i + 1);
     EXPECT_EQ(scan.records[i].file.id, stream[i].id);
     EXPECT_EQ(scan.records[i].file.name, stream[i].name);
   }
@@ -267,11 +289,11 @@ TEST(Wal, GroupCommitBatchesRecords) {
 
 TEST(Wal, RemoveRecordsRoundTrip) {
   const std::string dir = temp_dir("wal_remove");
-  const std::string path = wal_path(dir);
+  const std::string path = log_path(dir);
   {
     WalWriter wal(path, 2);
-    wal.log_remove("some/file.txt");
-    wal.log_remove("other/file.bin");
+    wal.log(remove_record("some/file.txt", 1));
+    wal.log(remove_record("other/file.bin", 2));
   }
   const WalScan scan = scan_wal(path);
   ASSERT_EQ(scan.records.size(), 2u);
@@ -282,14 +304,14 @@ TEST(Wal, RemoveRecordsRoundTrip) {
 
 TEST(Wal, TornTailRecoversToLastCommitBoundary) {
   const std::string dir = temp_dir("wal_torn");
-  const std::string path = wal_path(dir);
+  const std::string path = log_path(dir);
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(12, 5);
 
   {
     WalWriter wal(path, /*group_commit=*/4);
-    for (const auto& f : stream) wal.log_insert(f);
+    log_inserts(wal, stream);
   }  // 3 complete blocks of 4
 
   // Crash mid-append: chop into the last block's payload.
@@ -306,7 +328,7 @@ TEST(Wal, TornTailRecoversToLastCommitBoundary) {
   {
     WalWriter wal(path, 4);
     EXPECT_EQ(wal.committed_records(), 8u);
-    wal.log_insert(stream[8]);
+    wal.log(insert_record(stream[8], 9));
     wal.commit();
   }
   const WalScan rescan = scan_wal(path);
@@ -316,13 +338,13 @@ TEST(Wal, TornTailRecoversToLastCommitBoundary) {
 
 TEST(Wal, CorruptedBlockChecksumStopsScan) {
   const std::string dir = temp_dir("wal_crc");
-  const std::string path = wal_path(dir);
+  const std::string path = log_path(dir);
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(8, 5);
   {
     WalWriter wal(path, 4);
-    for (const auto& f : stream) wal.log_insert(f);
+    log_inserts(wal, stream);
   }
   auto bytes = util::read_file_bytes(path);
   bytes[bytes.size() - 10] ^= 0x01;  // corrupt the second block's payload
@@ -336,7 +358,7 @@ TEST(Wal, CorruptedBlockChecksumStopsScan) {
 
 TEST(Wal, MissingFileScansEmpty) {
   const std::string dir = temp_dir("wal_missing");
-  const WalScan scan = scan_wal(wal_path(dir));
+  const WalScan scan = scan_wal(log_path(dir));
   EXPECT_EQ(scan.records.size(), 0u);
   EXPECT_FALSE(scan.torn_tail);
 }
@@ -348,7 +370,7 @@ TEST(Wal, CraftedHugeRecordCountIsCorruptionNotAllocation) {
   const std::string dir = temp_dir("wal_hugecount");
   const std::string path = wal_path(dir);
   util::BinaryWriter w;
-  w.write_bytes(kWalMagic, sizeof(kWalMagic));
+  w.write_bytes(kWalMagicV2, sizeof(kWalMagicV2));
   w.write_u64(12345);  // log generation
   w.write_u32(kWalBlockMagic);
   w.write_u32(0xFFFFFFFFu);  // absurd record count
@@ -366,18 +388,18 @@ TEST(Wal, CraftedHugeRecordCountIsCorruptionNotAllocation) {
 
 TEST(Wal, RebaseDropsFencedPrefixKeepsTailUnderNextGeneration) {
   const std::string dir = temp_dir("wal_rebase");
-  const std::string path = wal_path(dir);
+  const std::string path = log_path(dir);
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(7, 5);
 
   WalWriter wal(path, /*group_commit=*/2);
-  for (const auto& f : stream) wal.log_insert(f);
+  log_inserts(wal, stream);
   wal.commit();
   const std::uint64_t gen = wal.generation();
   ASSERT_EQ(wal.committed_records(), 7u);
 
-  wal.rebase(4);  // a snapshot fenced the first four records
+  wal.rebase(4);  // a checkpoint fenced the first four records
   EXPECT_EQ(wal.generation(), gen + 1);
   EXPECT_EQ(wal.committed_records(), 3u);
 
@@ -388,49 +410,45 @@ TEST(Wal, RebaseDropsFencedPrefixKeepsTailUnderNextGeneration) {
     EXPECT_EQ(scan.records[i].file.name, stream[4 + i].name);
 
   // Appends keep working through the swapped handle.
-  wal.log_remove(stream[0].name);
+  wal.log(remove_record(stream[0].name, 8));
   wal.commit();
   EXPECT_EQ(scan_wal(path).records.size(), 4u);
 }
 
-TEST(Wal, LegacyV1LogIsUpgradedBeforeNewRecordTypesAppend) {
-  // A v01-magic log must not get v02-only record types appended behind its
-  // old header (a rolled-back binary would truncate them as corruption);
-  // the writer upgrades magic + preserves generation and records first.
-  const std::string dir = temp_dir("wal_v1");
-  const std::string path = wal_path(dir);
+TEST(Wal, LegacyLogsAreReadOnly) {
+  // v01/v02 logs still scan (Open replays a legacy wal.bin once), but the
+  // writer refuses them: appending v03 records behind a legacy header
+  // would make every reader truncate them as a torn tail.
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
-  const auto stream = tr.make_insert_stream(2, 5);
+  const auto stream = tr.make_insert_stream(3, 5);
+  std::vector<WalRecord> records;
+  for (const auto& f : stream) records.push_back(insert_record(f));
 
-  {  // Write a v02 log, then retro-stamp the v01 magic over it.
-    WalWriter wal(path, 2);
-    for (const auto& f : stream) wal.log_insert(f);
-  }
-  auto bytes = util::read_file_bytes(path);
-  std::memcpy(bytes.data(), kWalMagicV1, sizeof(kWalMagicV1));
-  util::write_file_atomic(path, bytes);
-  const WalScan legacy = scan_wal(path);
-  EXPECT_TRUE(legacy.v1_magic);
-  const std::uint64_t gen = legacy.generation;
+  for (const bool v1 : {true, false}) {
+    const std::string dir = temp_dir(v1 ? "wal_v1" : "wal_v2");
+    const std::string path = wal_path(dir);
+    write_legacy_wal(path, v1, /*generation=*/77, records, /*block=*/2);
+    const auto before = util::read_file_bytes(path);
 
-  {
-    WalWriter wal(path, 1);
-    EXPECT_EQ(wal.generation(), gen);
-    EXPECT_EQ(wal.committed_records(), 2u);
-    wal.log_add_unit();  // v02-only record type
+    const WalScan scan = scan_wal(path);
+    EXPECT_EQ(scan.v1_magic, v1);
+    EXPECT_FALSE(scan.v3_magic);
+    EXPECT_FALSE(scan.torn_tail);
+    EXPECT_EQ(scan.generation, 77u);
+    ASSERT_EQ(scan.records.size(), 3u);
+    EXPECT_EQ(scan.records[2].file.name, stream[2].name);
+
+    EXPECT_THROW(WalWriter(path, 1), PersistError);
+    EXPECT_EQ(util::read_file_bytes(path), before);  // untouched
   }
-  const WalScan upgraded = scan_wal(path);
-  EXPECT_FALSE(upgraded.v1_magic);
-  EXPECT_EQ(upgraded.generation, gen);
-  ASSERT_EQ(upgraded.records.size(), 3u);
-  EXPECT_EQ(upgraded.records[0].file.name, stream[0].name);
-  EXPECT_EQ(upgraded.records[2].type, WalRecordType::kAddUnit);
 }
 
-// ---- checkpoint / recover ---------------------------------------------------
+// ---- recover ----------------------------------------------------------------
 
 TEST(Recovery, SnapshotPlusWalRestoresAllCommittedMutations) {
+  // The pre-sharding layout: snapshot.bin plus a legacy v02 wal.bin of the
+  // mutations since, replayed through the store's mutation API.
   const std::string dir = temp_dir("recover");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::hp_profile(), 1, 42, /*downscale=*/20);
@@ -440,22 +458,19 @@ TEST(Recovery, SnapshotPlusWalRestoresAllCommittedMutations) {
   cfg.seed = 7;
   SmartStore store(cfg);
   store.build(tr.files());
+  save_image(store, snapshot_path(dir));
 
-  checkpoint(store, dir);
-
-  // Post-checkpoint mutations, write-ahead logged as they apply.
   const auto stream = tr.make_insert_stream(9, 77);
-  {
-    WalWriter wal(wal_path(dir), cfg.version_ratio);
-    for (const auto& f : stream) {
-      store.insert_file(f, 0.0);
-      wal.log_insert(f);
-    }
-    const std::string victim = tr.files()[3].name;
-    store.delete_file(victim, 0.0);
-    wal.log_remove(victim);
-    wal.commit();
+  std::vector<WalRecord> records;
+  for (const auto& f : stream) {
+    store.insert_file(f, 0.0);
+    records.push_back(insert_record(f));
   }
+  const std::string victim = tr.files()[3].name;
+  store.delete_file(victim, 0.0);
+  records.push_back(remove_record(victim));
+  write_legacy_wal(wal_path(dir), /*v1=*/false, 5, records,
+                   cfg.version_ratio);
 
   const RecoveryResult rec = recover(dir);
   ASSERT_TRUE(rec.store);
@@ -475,6 +490,46 @@ TEST(Recovery, SnapshotPlusWalRestoresAllCommittedMutations) {
 }
 
 TEST(Recovery, TornWalRecoversToCommitBoundary) {
+  // A legacy v02 wal.bin an old deployment left torn mid-commit: replay
+  // stops at the last commit boundary.
+  const std::string dir = temp_dir("recover_torn_legacy");
+  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
+      trace::hp_profile(), 1, 42, /*downscale=*/20);
+  Config cfg;
+  cfg.num_units = 10;
+  cfg.seed = 7;
+  SmartStore store(cfg);
+  store.build(tr.files());
+  save_image(store, snapshot_path(dir));
+  const std::size_t base_files = store.total_files();
+
+  const auto stream = tr.make_insert_stream(8, 77);
+  std::vector<WalRecord> records;
+  for (const auto& f : stream) records.push_back(insert_record(f));
+  write_legacy_wal(wal_path(dir), /*v1=*/false, 5, records, /*block=*/4);
+  // Tear into the second block: only the first group commit must survive.
+  std::filesystem::resize_file(wal_path(dir),
+                               std::filesystem::file_size(wal_path(dir)) - 9);
+
+  const RecoveryResult rec = recover(dir);
+  EXPECT_TRUE(rec.wal_tail_torn);
+  EXPECT_EQ(rec.wal_blocks, 1u);
+  EXPECT_EQ(rec.wal_records, 4u);
+  EXPECT_EQ(rec.store->total_files(), base_files + 4);
+  EXPECT_TRUE(rec.store->check_invariants());
+  for (std::size_t i = 0; i < 4; ++i) {
+    bool present = false;
+    for (const auto& u : rec.store->units())
+      if (u.find_by_name(stream[i].name)) present = true;
+    EXPECT_TRUE(present) << stream[i].name;
+  }
+  for (std::size_t i = 4; i < 8; ++i) {
+    for (const auto& u : rec.store->units())
+      EXPECT_EQ(u.find_by_name(stream[i].name), nullptr);
+  }
+}
+
+TEST(Recovery, TornShardLogRecoversToCommitBoundary) {
   const std::string dir = temp_dir("recover_torn");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::hp_profile(), 1, 42, /*downscale=*/20);
@@ -483,17 +538,18 @@ TEST(Recovery, TornWalRecoversToCommitBoundary) {
   cfg.seed = 7;
   SmartStore store(cfg);
   store.build(tr.files());
-  checkpoint(store, dir);
+  save_image(store, snapshot_path(dir));
   const std::size_t base_files = store.total_files();
 
   const auto stream = tr.make_insert_stream(8, 77);
+  const std::string shard0 = ShardedWal::shard_path(dir, 0);
+  std::filesystem::create_directories(ShardedWal::shard_dir(dir));
   {
-    WalWriter wal(wal_path(dir), /*group_commit=*/4);
-    for (const auto& f : stream) wal.log_insert(f);
+    WalWriter wal(shard0, /*group_commit=*/4);
+    log_inserts(wal, stream, store.last_commit_seq() + 1);
   }
   // Tear into the second block: only the first group commit must survive.
-  std::filesystem::resize_file(wal_path(dir),
-                               std::filesystem::file_size(wal_path(dir)) - 9);
+  std::filesystem::resize_file(shard0, std::filesystem::file_size(shard0) - 9);
 
   const RecoveryResult rec = recover(dir);
   EXPECT_TRUE(rec.wal_tail_torn);
@@ -510,114 +566,6 @@ TEST(Recovery, TornWalRecoversToCommitBoundary) {
     for (const auto& u : rec.store->units())
       EXPECT_EQ(u.find_by_name(stream[i].name), nullptr);
   }
-}
-
-TEST(Recovery, CheckpointEmptiesWal) {
-  const std::string dir = temp_dir("checkpoint");
-  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
-      trace::msn_profile(), 1, 42, /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-
-  WalWriter wal(wal_path(dir), 2);
-  const auto stream = tr.make_insert_stream(4, 3);
-  for (const auto& f : stream) {
-    store.insert_file(f, 0.0);
-    wal.log_insert(f);
-  }
-  wal.commit();
-  EXPECT_EQ(scan_wal(wal_path(dir)).records.size(), 4u);
-
-  checkpoint(store, dir, &wal);
-  EXPECT_EQ(scan_wal(wal_path(dir)).records.size(), 0u);
-
-  // Recovery after the checkpoint sees the mutations exactly once.
-  const RecoveryResult rec = recover(dir);
-  EXPECT_EQ(rec.wal_records, 0u);
-  EXPECT_EQ(rec.store->total_files(), store.total_files());
-}
-
-TEST(Recovery, CrashBetweenSnapshotAndWalResetReplaysNothingTwice) {
-  // The checkpoint crash window: snapshot renamed into place, WAL not yet
-  // emptied. The snapshot's fence must suppress the duplicate replay.
-  const std::string dir = temp_dir("ckpt_crash");
-  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
-      trace::msn_profile(), 1, 42, /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-  checkpoint(store, dir);
-
-  const auto stream = tr.make_insert_stream(5, 3);
-  {
-    WalWriter wal(wal_path(dir), 1);
-    for (const auto& f : stream) {
-      store.insert_file(f, 0.0);
-      wal.log_insert(f);
-    }
-    // Simulate the crash: preserve the pre-checkpoint log, checkpoint
-    // (snapshot + fence land, WAL is reset), then restore the old log as
-    // if the reset never hit the disk.
-    const std::string saved = wal_path(dir) + ".saved";
-    std::filesystem::copy_file(wal_path(dir), saved);
-    checkpoint(store, dir, &wal);
-    std::filesystem::copy_file(saved, wal_path(dir),
-                               std::filesystem::copy_options::overwrite_existing);
-  }
-
-  const RecoveryResult rec = recover(dir);
-  EXPECT_EQ(rec.wal_fenced, 5u);   // all five suppressed by the fence
-  EXPECT_EQ(rec.wal_records, 0u);  // nothing replayed on top
-  EXPECT_EQ(rec.store->total_files(), store.total_files());
-  EXPECT_TRUE(rec.store->check_invariants());
-  // No duplicate records: per-unit name sets match the live store exactly.
-  std::multiset<std::string> live, recovered;
-  for (const auto& u : store.units())
-    for (const auto& f : u.files()) live.insert(f.name);
-  for (const auto& u : rec.store->units())
-    for (const auto& f : u.files()) recovered.insert(f.name);
-  EXPECT_EQ(live, recovered);
-}
-
-TEST(Recovery, CheckpointIntoOtherDirLeavesLiveWalIntact) {
-  // A writer logging into state/ while checkpointing into backup/: state's
-  // log pairs with state's snapshot and must survive; backup's stale log
-  // must be emptied (its records are subsumed by the fresh snapshot).
-  const std::string state = temp_dir("ckpt_state");
-  const std::string backup = temp_dir("ckpt_backup");
-  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
-      trace::msn_profile(), 1, 42, /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-  checkpoint(store, state);
-
-  {
-    WalWriter stale(wal_path(backup), 1);
-    stale.log_remove("stale-record");
-  }
-
-  const auto stream = tr.make_insert_stream(3, 3);
-  WalWriter wal(wal_path(state), 1);
-  for (const auto& f : stream) {
-    store.insert_file(f, 0.0);
-    wal.log_insert(f);
-  }
-
-  checkpoint(store, backup, &wal);
-  // state/ still recovers through its own WAL records...
-  EXPECT_EQ(scan_wal(wal_path(state)).records.size(), 3u);
-  EXPECT_EQ(recover(state).store->total_files(), store.total_files());
-  // ...and backup/ replays nothing stale over the fresh snapshot.
-  EXPECT_EQ(scan_wal(wal_path(backup)).records.size(), 0u);
-  EXPECT_EQ(recover(backup).store->total_files(), store.total_files());
 }
 
 }  // namespace
