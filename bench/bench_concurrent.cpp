@@ -5,10 +5,11 @@
 //
 //   1. inserts/sec at 1/2/4/8 writer threads, without WAL (ephemeral
 //      in-memory store: routing under the shared structure lock, apply
-//      under the target unit's stripe) and with the sharded WAL (each
-//      shard group-committing and fsyncing independently — writers routed
-//      to different units overlap their durability waits, which is the
-//      win even when cores are scarce);
+//      under the target unit's stripe) and with the sharded WAL (every
+//      Write durable on return: one commit per touched shard, shards
+//      fsyncing independently — writers routed to different units overlap
+//      their durability waits, which is the win even when cores are
+//      scarce);
 //   2. recovery time from the sharded logs: one Open = snapshot load + N
 //      records merged across shards by sequence number and replayed.
 //
@@ -24,7 +25,6 @@
 //
 // Environment knobs:
 //   BENCH_SMOKE=1          tiny sizes (CI smoke: exercises every path)
-//   BENCH_GROUP_COMMIT=N   records per fsync per shard (default 4)
 //   BENCH_INSERTS=N        override the per-run insert count
 // Arguments:
 //   --json PATH            additionally emit machine-readable results
@@ -64,14 +64,12 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
 }
 
-db::Options make_options(std::size_t units, bool wal_on,
-                         std::size_t group_commit) {
+db::Options make_options(std::size_t units, bool wal_on) {
   db::Options o;
   o.num_units = units;
   o.seed = 7;
   o.in_memory = !wal_on;
   o.enable_wal = wal_on;
-  o.group_commit = group_commit;
   return o;
 }
 
@@ -118,7 +116,6 @@ int main(int argc, char** argv) {
   const std::size_t units = smoke ? 8 : 16;
   const std::size_t inserts =
       env_size("BENCH_INSERTS", smoke ? 800 : 20000);
-  const std::size_t group_commit = env_size("BENCH_GROUP_COMMIT", 4);
 
   const auto tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/smoke ? 50 : 10);
@@ -126,8 +123,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "bench_concurrent: %zu base files, %zu inserts/run, %zu units, "
-      "group commit %zu, hardware threads %u\n\n",
-      tr.files().size(), stream.size(), units, group_commit,
+      "hardware threads %u\n\n",
+      tr.files().size(), stream.size(), units,
       std::thread::hardware_concurrency());
 
   const std::filesystem::path state =
@@ -142,8 +139,8 @@ int main(int argc, char** argv) {
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       // Fresh deployment per run: identical starting state, no carry-over.
       if (wal_on) std::filesystem::remove_all(state);
-      auto opened = db::Store::Open(make_options(units, wal_on, group_commit),
-                                    state.string());
+      auto opened =
+          db::Store::Open(make_options(units, wal_on), state.string());
       check(opened.status(), "open");
       std::unique_ptr<db::Store> store = std::move(opened).value();
       check(store->Bulkload(tr.files()), "bulkload");
@@ -170,8 +167,7 @@ int main(int argc, char** argv) {
   double recover_seconds = 0;
   std::size_t recovered_records = 0;
   {
-    auto opened = db::Store::Open(make_options(units, true, group_commit),
-                                  state.string());
+    auto opened = db::Store::Open(make_options(units, true), state.string());
     check(opened.status(), "open");
     std::unique_ptr<db::Store> store = std::move(opened).value();
     check(store->Bulkload(tr.files()), "bulkload");
@@ -179,12 +175,12 @@ int main(int argc, char** argv) {
     run_ingest(*store, stream, 4);
     const std::uint64_t expected =
         int_property(*store, "smartstore.total-files");
-    store->Abandon();  // crash: acked tail flushed by run_ingest, process
-    store.reset();     // state dropped
+    store->Abandon();  // crash: every acked Write is already durable,
+    store.reset();     // process state dropped
 
     util::WallTimer t;
-    auto recovered = db::Store::Open(make_options(units, true, group_commit),
-                                     state.string());
+    auto recovered =
+        db::Store::Open(make_options(units, true), state.string());
     check(recovered.status(), "recover");
     recover_seconds = t.seconds();
     recovered_records = (*recovered)->recovery_info().wal_records;
@@ -225,8 +221,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"group_commit\": %zu,\n  \"ingest\": [\n",
-                 group_commit);
+    std::fprintf(f, "  \"ingest\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
       const IngestResult& r = results[i];
       std::fprintf(f,

@@ -9,7 +9,8 @@
 //           counters) vs raw insert_file on a bare core store;
 //   batch   facade Write(WriteBatch of 64) vs raw insert_batch(64);
 //   durable facade Put() with the sharded WAL attached vs raw insert_file
-//           with hand-wired WAL hooks (the composition Open() replaces).
+//           with a hand-wired append hook and a commit per insert (the
+//           composition Open() replaces) — both sides durable per call.
 // Plus the lifecycle numbers embedders plan capacity around: fresh
 // Open+Bulkload, Checkpoint, reopen (snapshot load), reopen after a crash
 // (snapshot load + shard-merged replay).
@@ -165,15 +166,16 @@ int main(int argc, char** argv) {
     std::filesystem::create_directories(dir);
     core::SmartStore raw(cfg);
     raw.build(tr.files());
-    persist::ShardedWal wal(dir, units, raw.config().version_ratio);
+    persist::ShardedWal wal(dir, units);
     util::WallTimer t;
     for (const auto& f : stream) {
-      raw.insert_file(
-          f, 0.0,
-          [&](core::UnitId target) { return wal.append_insert(target, f); },
-          [&](core::UnitId target) { wal.maybe_commit(target); });
+      core::UnitId target = 0;
+      raw.insert_file(f, 0.0, [&](core::UnitId u) {
+        target = u;
+        return wal.append_insert(u, f);
+      });
+      wal.commit(target);
     }
-    wal.commit_all();
     durable.raw_per_sec = static_cast<double>(stream.size()) / t.seconds();
   }
 

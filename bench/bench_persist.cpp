@@ -6,8 +6,9 @@
 // that recovers the snapshot instead of re-running SVD + balanced k-means
 // + bottom-up tree construction. Checkpoint/reopen are reported as
 // wall-clock time, on-disk size, and files per second; the WAL as facade
-// Puts per second at the store's group-commit batching, plus the replay
-// rate (a reopen after a simulated crash) that bounds recovery time.
+// Puts per second (each durable on return: one fsync per Put), plus the
+// replay rate (a reopen after a simulated crash) that bounds recovery
+// time.
 #include "bench_common.h"
 #include "bench_db_common.h"
 
@@ -155,9 +156,8 @@ int main() {
     store = std::move(reopened).value();
     const double nfiles = static_cast<double>(tr.files().size());
 
-    // WAL: Put a churn stream at the store's group-commit batching, crash
-    // (Flush + Abandon: acked tail durable, process state dropped), then
-    // time the reopen that replays it.
+    // WAL: Put a churn stream (every acked Put durable), crash (Abandon:
+    // process state dropped), then time the reopen that replays it.
     const std::size_t churn = 2000;
     const auto stream = tr.make_insert_stream(churn, 99);
     t.reset();
@@ -189,9 +189,9 @@ int main() {
   }
 
   std::printf(
-      "\nrestart speedup = build / reopen; WAL rates include group-commit "
-      "fsync. replay/s = reopen after crash, snapshot load + shard-merge "
-      "replay.\n");
+      "\nrestart speedup = build / reopen; WAL rates include one commit "
+      "fsync per Put. replay/s = reopen after crash, snapshot load + "
+      "shard-merge replay.\n");
   std::filesystem::remove_all(dir);
 
   restart_under_load();

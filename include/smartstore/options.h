@@ -1,7 +1,7 @@
 // Open-time configuration of the embedded store.
 //
 // Options is the one place where the durability/concurrency machinery the
-// lower layers export piecemeal (core striping, sharded WAL group commit,
+// lower layers export piecemeal (core striping, the sharded WAL,
 // background checkpoint cadence) is composed into a coherent deployment.
 // Everything has a safe default: Options{} opens a durable, write-ahead
 // logged store that checkpoints only when asked.
@@ -42,19 +42,12 @@ struct Options {
   /// Write-ahead log every Put/Delete/Write into the sharded WAL
   /// (<path>/wal/<unit>.log, one log per storage unit — writers routed to
   /// different units commit and fsync independently), and checkpoint by
-  /// incremental delta cuts. With this off, mutations after the last
-  /// checkpoint are lost on a crash, and Checkpoint() folds a full image
-  /// (a cut captures only logged mutations).
+  /// incremental delta cuts. Every mutation that returns OK is then
+  /// durable: the call commits each shard it appended to before it
+  /// returns. With this off, mutations after the last checkpoint are lost
+  /// on a crash, and Checkpoint() folds a full image (a cut captures only
+  /// logged mutations).
   bool enable_wal = true;
-
-  /// WAL records per group-commit fsync, per shard. 0 = adaptive: each
-  /// shard sizes its own batch from an EWMA of its fsync latency and
-  /// record arrival rate (batch ≈ sync cost / arrival gap, clamped to
-  /// [1, 64]), seeded from the store's version ratio (the paper's
-  /// Section 4.4 aggregation factor) until both estimates warm up.
-  /// Explicit values stay static — crash-injection sweeps that count
-  /// durability boundaries need a deterministic batch size.
-  std::size_t group_commit = 0;
 
   /// Background-checkpoint cadence: take a delta CUT in the background
   /// every N acknowledged mutations — slice each storage unit's WAL shard

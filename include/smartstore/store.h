@@ -7,8 +7,14 @@
 // the same data directory, attaches the per-unit WAL shard hooks to every
 // mutation, and starts the background checkpointer at the configured
 // cadence. Close() (or the destructor) tears it all down in the only safe
-// order: drain the in-flight checkpoint, group-commit the WAL shards,
-// release the lock. No caller ever re-derives the WAL-fencing protocol.
+// order: drain the in-flight checkpoint, commit the WAL shards, release
+// the lock. No caller ever re-derives the WAL-fencing protocol.
+//
+// Durability contract (WAL-logged stores): every Put / Delete / Write /
+// ApplyReplicated / LoadBootstrap that returns OK is durable. The call
+// appends its records under the unit locks, then commits each WAL shard
+// it touched exactly once before returning; concurrent writers on one
+// shard share that fsync. There is no knob that acknowledges earlier.
 //
 // The boundary is exception-free: every operation returns Status (or
 // StatusOr), including the crash-injection harness's simulated power cuts
@@ -53,8 +59,9 @@ struct RecoveryInfo {
   std::size_t wal_blocks = 0;
   std::size_t wal_fenced = 0;    ///< skipped: already in the snapshot
   std::size_t wal_shards = 0;    ///< shard logs scanned
-  bool wal_tail_torn = false;    ///< a torn tail was dropped at a
-                                 ///< group-commit boundary
+  bool wal_tail_torn = false;    ///< a torn tail was dropped at a commit
+                                 ///< boundary (only unacknowledged
+                                 ///< records are lost that way)
   bool used_manifest = false;    ///< base came from the delta-chain
                                  ///< manifest, not a bare snapshot.bin
   std::size_t delta_cuts = 0;    ///< chain links applied under it
@@ -168,6 +175,9 @@ class Store {
   Status Bulkload(const std::vector<metadata::FileMetadata>& files);
 
   // ---- mutations ---------------------------------------------------------
+  //
+  // On a WAL-logged store each mutation is durable when it returns OK
+  // (see the durability contract above).
 
   Status Put(const metadata::FileMetadata& file);
 
@@ -202,8 +212,9 @@ class Store {
 
   // ---- durability control ------------------------------------------------
 
-  /// Group-commits every WAL shard: all acknowledged mutations become
-  /// durable. No-op without a WAL.
+  /// Commit barrier over every WAL shard. Acknowledged mutations are
+  /// already durable, so this only seals records a failed call appended
+  /// but never committed. No-op without a WAL.
   Status Flush();
 
   /// Checkpoints the deployment into the data directory on the calling
@@ -239,10 +250,10 @@ class Store {
   Status SetCommitTap(CommitTap tap);
 
   /// Applies a run of replicated records in seq order, WAL-logging each
-  /// under the primary's seq, then group-commits — on return every
-  /// non-skipped record is durable HERE. Records at or below the current
-  /// frontier are skipped (duplicate batches and bootstrap overlap are
-  /// idempotent). `*frontier_out` receives the new durable frontier.
+  /// under the primary's seq, then commits each touched shard — on return
+  /// every non-skipped record is durable HERE. Records at or below the
+  /// current frontier are skipped (duplicate batches and bootstrap overlap
+  /// are idempotent). `*frontier_out` receives the new durable frontier.
   /// Requires a WAL; removes of absent names are OK (already-applied).
   Status ApplyReplicated(const std::vector<ReplicatedOp>& ops,
                          std::uint64_t* frontier_out);
@@ -281,7 +292,7 @@ class Store {
   // ---- lifecycle ---------------------------------------------------------
 
   /// Waits out in-flight operations and the background checkpointer,
-  /// group-commits the WAL shards, releases the LOCK file. Idempotent.
+  /// commits the WAL shards, releases the LOCK file. Idempotent.
   /// Every operation after Close returns kFailedPrecondition.
   Status Close();
 

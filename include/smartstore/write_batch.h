@@ -2,10 +2,11 @@
 //
 // Consecutive Puts are applied through the core's insert_batch bulk-ingest
 // fast path (one structure-lock acquisition per run) with each record
-// write-ahead logged to its routed unit's WAL shard in apply order —
-// Write(batch) has exactly the durability of the same Puts issued one by
-// one, just cheaper. Deletes break the run and apply in place, preserving
-// the batch's total order.
+// write-ahead logged to its routed unit's WAL shard in apply order; each
+// touched shard is then committed once, so an OK Write is durable like the
+// same Puts issued one by one, at one fsync per shard instead of one per
+// record. Deletes break the run and apply in place, preserving the batch's
+// total order.
 #pragma once
 
 #include <cstddef>

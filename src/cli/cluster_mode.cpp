@@ -68,10 +68,9 @@ int RunServe(const ServeOptions& opt) {
   options.in_memory = opt.dir.empty();
   options.create_if_missing = true;
   if (!options.in_memory) {
-    // Acked implies durable: every mutation rides the WAL before the
-    // response frame leaves the shard.
+    // Acked implies durable: a WAL-logged store commits every mutation
+    // before it returns, so no response frame leaves ahead of its fsync.
     options.enable_wal = true;
-    options.group_commit = opt.group_commit > 0 ? opt.group_commit : 1;
   }
 
   auto opened = db::Store::Open(options, opt.dir);

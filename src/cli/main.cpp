@@ -12,7 +12,7 @@
 // a deployment lives in ONE directory), Open() recovers whatever snapshot
 // + WAL shards it finds there, --churn N inserts ride the sharded WAL,
 // --ingest-threads N fans the churn batch across writer threads inside
-// Write(), --group-commit M tunes records-per-fsync per shard, and
+// Write() (durable when Write returns: one fsync per touched shard), and
 // --bg-checkpoint N sets the background-checkpoint cadence (a snapshot
 // every N acknowledged mutations, concurrent with the insert stream).
 // --crash-at K arms the K-th persistence write boundary to simulate a
@@ -24,7 +24,7 @@
 //   smartstore_cli --trace hp --load state/ --churn 5000
 //       --save state/ --bg-checkpoint 1000       # checkpoint under load
 //   smartstore_cli --trace hp --churn 20000 --ingest-threads 4
-//       --wal state/ --group-commit 64           # parallel durable ingest
+//       --wal state/                             # parallel durable ingest
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -58,7 +58,6 @@ struct CliOptions {
   std::uint64_t seed = 42;
   std::size_t churn = 0;
   std::size_t ingest_threads = 1;  ///< writer threads over the churn stream
-  std::size_t group_commit = 0;    ///< WAL records per fsync (0 = default)
   std::string save_dir;
   std::string load_dir;
   std::string wal_dir;
@@ -100,8 +99,6 @@ void usage(const char* argv0) {
       "  --churn N                  insert N extra files before querying\n"
       "  --ingest-threads N         writer threads the facade fans the churn\n"
       "                             batch across (default 1)\n"
-      "  --group-commit M           WAL records per group-commit fsync,\n"
-      "                             per shard (default: version ratio)\n"
       "  --save DIR                 checkpoint the deployment into DIR\n"
       "  --load DIR                 restore DIR's snapshot (+ WAL replay)\n"
       "                             instead of building; trace flags must\n"
@@ -146,7 +143,7 @@ void usage(const char* argv0) {
       "                             with one endpoint per shard, in shard\n"
       "                             order\n"
       "  --puts N                   client workload size (default 64)\n"
-      "  --units/--fanout/--seed/--group-commit also shape --serve's store;\n"
+      "  --units/--fanout/--seed also shape --serve's store;\n"
       "  --seed also varies --connect's workload names.\n"
       "\n"
       "  --help                     this message\n",
@@ -228,8 +225,6 @@ CliOptions parse_args(int argc, char** argv) {
       opt.churn = parse_size(i++);
     } else if (a == "--ingest-threads") {
       opt.ingest_threads = parse_size(i++);
-    } else if (a == "--group-commit") {
-      opt.group_commit = parse_size(i++);
     } else if (a == "--save") {
       opt.save_dir = need_value(i++);
     } else if (a == "--load") {
@@ -387,7 +382,6 @@ int main(int argc, char** argv) {
     opt.serve_opt.units = opt.units;
     opt.serve_opt.fanout = opt.fanout;
     opt.serve_opt.seed = opt.seed;
-    opt.serve_opt.group_commit = opt.group_commit;
     return cli::RunServe(opt.serve_opt);
   }
   if (opt.connect) {
@@ -412,7 +406,6 @@ int main(int argc, char** argv) {
   options.seed = opt.seed;
   options.routing = opt.routing;
   options.ingest_threads = opt.ingest_threads;
-  options.group_commit = opt.group_commit;
   options.checkpoint_every = opt.bg_checkpoint;
   options.compaction_trigger = opt.compaction_trigger;
   options.compaction_byte_budget = opt.compaction_bytes;

@@ -639,26 +639,24 @@ void SmartStore::reconfigure() {
 // ---- dynamic operations ------------------------------------------------------
 
 QueryStats SmartStore::insert_file(const FileMetadata& f, double arrival,
-                                   const WalHook& logged,
-                                   const WalFlush& flushed) {
+                                   const WalHook& logged) {
   util::ReaderLock shared(structure_mu_);
-  return insert_file_impl(f, arrival, logged, flushed);
+  return insert_file_impl(f, arrival, logged);
 }
 
 std::vector<QueryStats> SmartStore::insert_batch(
     const std::vector<FileMetadata>& files, double arrival,
-    const WalHook& logged, const WalFlush& flushed) {
+    const WalHook& logged) {
   std::vector<QueryStats> out;
   out.reserve(files.size());
   util::ReaderLock shared(structure_mu_);
   for (const FileMetadata& f : files)
-    out.push_back(insert_file_impl(f, arrival, logged, flushed));
+    out.push_back(insert_file_impl(f, arrival, logged));
   return out;
 }
 
 QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
                                         const WalHook& logged,
-                                        const WalFlush& flushed,
                                         std::uint64_t forced_seq) {
   QueryStats stats;
   sim::Session session = cluster_->start_session(random_home(), arrival);
@@ -727,9 +725,6 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
     units_[target].prune_tombstones(gc_watermark());
     if (forced_seq == kAssignSeq) mark_unit_dirty(target, seq);
   }
-  // The group-commit fsync (if the flush hook decides one is due) runs
-  // here, off every store lock: it stalls only this shard's writers.
-  if (flushed) flushed(target);
   // Ancestor summaries widen one stripe at a time (child before parent);
   // readers meanwhile see a box/filter that is at worst transiently
   // narrower up the path, the same staleness replicas already exhibit.
@@ -769,14 +764,13 @@ std::optional<QueryStats> SmartStore::delete_file(const std::string& name,
   // The locate and the removal are not atomic: a concurrent delete of the
   // same name can win in between, in which case this one reports "absent".
   if (!remove_located(located.unit, located.id,
-                      located.stats.latency_s + arrival, nullptr, {}, {}))
+                      located.stats.latency_s + arrival, nullptr, {}))
     return std::nullopt;
   return located.stats;
 }
 
 bool SmartStore::remove_located(UnitId u, FileId id, double now,
-                                sim::Session* session, const WalHook& logged,
-                                const WalFlush& flushed) {
+                                sim::Session* session, const WalHook& logged) {
   epoch_.fetch_add(1, std::memory_order_relaxed);
   la::Vector raw;
   {
@@ -790,7 +784,6 @@ bool SmartStore::remove_located(UnitId u, FileId id, double now,
     units_[u].prune_tombstones(gc_watermark());
     mark_unit_dirty(u, seq);
   }
-  if (flushed) flushed(u);
   tree_.on_file_removed(u, raw, &summary_stripes_);
   for (auto& v : variants_) v.tree.on_file_removed(u, raw, &summary_stripes_);
   total_files_.fetch_sub(1, std::memory_order_relaxed);
@@ -807,15 +800,13 @@ bool SmartStore::remove_located(UnitId u, FileId id, double now,
   return true;
 }
 
-bool SmartStore::erase_file(const std::string& name, const WalHook& logged,
-                            const WalFlush& flushed) {
+bool SmartStore::erase_file(const std::string& name, const WalHook& logged) {
   util::ReaderLock shared(structure_mu_);
-  return erase_file_impl(name, logged, flushed);
+  return erase_file_impl(name, logged);
 }
 
 bool SmartStore::erase_file_impl(const std::string& name,
-                                 const WalHook& logged,
-                                 const WalFlush& flushed) {
+                                 const WalHook& logged) {
   for (UnitId u = 0; u < units_.size(); ++u) {
     if (!unit_active_[u]) continue;
     FileId id = 0;
@@ -831,7 +822,7 @@ bool SmartStore::erase_file_impl(const std::string& name,
     // The unit lock was dropped between locate and removal; remove_located
     // re-checks by id and reports a lost race, in which case the scan
     // continues (the name might also exist on a later unit).
-    if (remove_located(u, id, 0.0, nullptr, logged, flushed)) return true;
+    if (remove_located(u, id, 0.0, nullptr, logged)) return true;
   }
   return false;
 }
@@ -1342,7 +1333,7 @@ void SmartStore::remove_storage_unit(UnitId u, const StructuralHook& logged) {
   // record's visibility window unchanged across the move (seq 0 =
   // pre-history records stay pre-history).
   for (std::size_t i = 0; i < displaced.size(); ++i)
-    insert_file_impl(displaced[i], 0.0, {}, {}, displaced_seqs[i]);
+    insert_file_impl(displaced[i], 0.0, {}, displaced_seqs[i]);
 }
 
 // ---- automatic configuration (Section 2.4) -------------------------------------

@@ -141,14 +141,10 @@ class SmartStore {
   /// order, the invariant sharded recovery's sequence merge relies on.
   /// Returns the store-wide sequence number the WAL stamped on the record
   /// (the commit timestamp MVCC snapshot reads pin); 0 means "unsequenced"
-  /// and the store self-assigns from its own commit counter.
+  /// and the store self-assigns from its own commit counter. The caller
+  /// commits the record after the mutating call returns (the hook is where
+  /// it learns the target), so no store lock is held across the fsync.
   using WalHook = std::function<std::uint64_t(UnitId target)>;
-  /// Write-behind flush hook: invoked with the same target AFTER the unit
-  /// lock is released (mutation applied, record appended). This is where
-  /// the sharded WAL runs its group-commit fsync — off every store lock,
-  /// so a flush stalls only writers of the same shard, never a writer
-  /// that merely routed to the same unit or collided on a stripe.
-  using WalFlush = std::function<void(UnitId target)>;
   /// Structural-op hook: invoked under the exclusive structure lock before
   /// the reconfiguration applies (the sharded WAL barrier-commits every
   /// shard and then logs the structural record, so no later per-unit
@@ -176,14 +172,13 @@ class SmartStore {
   /// least-loaded member unit; updates the tree locally and the
   /// versioning/lazy-update machinery (Sections 3.2.1, 3.4, 4.4).
   QueryStats insert_file(const metadata::FileMetadata& f, double arrival,
-                         const WalHook& logged = {},
-                         const WalFlush& flushed = {});
+                         const WalHook& logged = {});
 
   /// Inserts a batch under one structure-lock acquisition (the bulk-ingest
   /// fast path the CLI's --ingest-threads partitions work into).
   std::vector<QueryStats> insert_batch(
       const std::vector<metadata::FileMetadata>& files, double arrival,
-      const WalHook& logged = {}, const WalFlush& flushed = {});
+      const WalHook& logged = {});
 
   /// Locates by name and removes. Returns nullopt when absent.
   std::optional<QueryStats> delete_file(const std::string& name,
@@ -195,8 +190,7 @@ class SmartStore {
   /// delete that was acknowledged live must always re-apply on recovery,
   /// even when the off-line replicas that located it then have since gone
   /// stale. Returns false when the file does not exist.
-  bool erase_file(const std::string& name, const WalHook& logged = {},
-                  const WalFlush& flushed = {});
+  bool erase_file(const std::string& name, const WalHook& logged = {});
 
   PointResult point_query(const metadata::PointQuery& q, Routing routing,
                           double arrival);
@@ -491,8 +485,7 @@ class SmartStore {
   /// Re-checks existence under the unit lock (a concurrent delete may
   /// have won); returns whether the removal happened.
   bool remove_located(UnitId u, metadata::FileId id, double now,
-                      sim::Session* session, const WalHook& logged,
-                      const WalFlush& flushed)
+                      sim::Session* session, const WalHook& logged)
       SS_REQUIRES_SHARED(structure_mu_);
 
   // ---- internals ---------------------------------------------------------
@@ -508,11 +501,10 @@ class SmartStore {
   /// the seqs it was visible at before, just in a different unit. 0 forces
   /// pre-history; the kAssignSeq default stamps a fresh commit seq.
   QueryStats insert_file_impl(const metadata::FileMetadata& f, double arrival,
-                              const WalHook& logged, const WalFlush& flushed,
+                              const WalHook& logged,
                               std::uint64_t forced_seq = kAssignSeq)
       SS_REQUIRES_SHARED(structure_mu_);
-  bool erase_file_impl(const std::string& name, const WalHook& logged,
-                       const WalFlush& flushed)
+  bool erase_file_impl(const std::string& name, const WalHook& logged)
       SS_REQUIRES_SHARED(structure_mu_);
   PointResult point_query_impl(const metadata::PointQuery& q, Routing routing,
                                double arrival)

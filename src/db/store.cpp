@@ -33,6 +33,7 @@
 #include <atomic>
 #include <exception>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <shared_mutex>
 #include <thread>
@@ -73,6 +74,26 @@ QueryStats to_public(const core::QueryStats& s) {
   out.failed = s.failed;
   return out;
 }
+
+/// The WAL shards one call appended to: each is committed exactly once,
+/// after the core call returned (no store lock held), before the call
+/// acknowledges. Writers racing on a shard batch naturally — whoever
+/// commits first covers every record appended so far, and the others
+/// find nothing left pending.
+class ShardSet {
+ public:
+  void add(core::UnitId shard) {
+    if (std::find(shards_.begin(), shards_.end(), shard) == shards_.end())
+      shards_.push_back(shard);
+  }
+  void merge(const ShardSet& other) {
+    for (core::UnitId u : other.shards_) add(u);
+  }
+  const std::vector<core::UnitId>& shards() const { return shards_; }
+
+ private:
+  std::vector<core::UnitId> shards_;  ///< a handful per call: linear scan
+};
 
 Status map_persist_error(const persist::PersistError& e) {
   switch (e.code()) {
@@ -268,43 +289,49 @@ struct Store::Impl {
 
   bool durable() const { return !opts.in_memory; }
 
-  /// One Put through the core with the WAL shard hooks attached: the
+  /// One Put through the core with the WAL append hook attached: the
   /// append fires under the routed unit's lock (shard log order == that
-  /// unit's apply order), the group-commit fsync from the flush hook after
-  /// the lock is released.
-  void insert_one(const metadata::FileMetadata& f) {
+  /// unit's apply order) and notes the shard in `touched` for commit().
+  void insert_one(const metadata::FileMetadata& f, ShardSet& touched) {
     if (persist::ShardedWal* w = log()) {
-      core->insert_file(
-          f, 0.0,
-          [&](core::UnitId target) { return w->append_insert(target, f); },
-          [&](core::UnitId target) { w->maybe_commit(target); });
+      core->insert_file(f, 0.0, [&](core::UnitId target) {
+        touched.add(target);
+        return w->append_insert(target, f);
+      });
     } else {
       core->insert_file(f, 0.0);
     }
   }
 
-  bool erase_one(const std::string& name) {
+  bool erase_one(const std::string& name, ShardSet& touched) {
     if (persist::ShardedWal* w = log()) {
-      return core->erase_file(
-          name,
-          [&](core::UnitId located) { return w->append_remove(located, name); },
-          [&](core::UnitId located) { w->maybe_commit(located); });
+      return core->erase_file(name, [&](core::UnitId located) {
+        touched.add(located);
+        return w->append_remove(located, name);
+      });
     }
     return core->erase_file(name);
   }
 
+  /// The durability half of every acknowledged mutation: one commit per
+  /// shard the call appended to. Runs with no store lock held.
+  void commit(const ShardSet& touched) {
+    for (core::UnitId u : touched.shards()) wal->commit(u);
+  }
+
   /// Applies ops[b, e) — a run of consecutive Puts — through insert_batch,
   /// fanned across Options::ingest_threads when the run is large enough to
-  /// amortize thread startup. Throws through (callers map at the boundary);
-  /// with multiple workers the first failure wins and the rest drain.
+  /// amortize thread startup. Notes the shards appended to in `touched`.
+  /// Throws through (callers map at the boundary); with multiple workers
+  /// the first failure wins and the rest drain.
   void apply_put_run(const std::vector<WriteBatch::Op>& ops, std::size_t b,
-                     std::size_t e) {
+                     std::size_t e, ShardSet& touched) {
     const std::size_t n = e - b;
     const std::size_t kChunk = 64;
     const std::size_t nthreads =
         std::min({opts.ingest_threads, n / kChunk, std::size_t{16}});
 
-    auto apply_chunk = [&](std::size_t cb, std::size_t ce) {
+    auto apply_chunk = [&](std::size_t cb, std::size_t ce, ShardSet& shards) {
       std::vector<metadata::FileMetadata> chunk;
       chunk.reserve(ce - cb);
       for (std::size_t i = cb; i < ce; ++i) chunk.push_back(ops[i].file);
@@ -313,12 +340,10 @@ struct Store::Impl {
         // thread, under the routed unit's lock — the cursor pairs each
         // callback with its file.
         std::size_t cursor = 0;
-        core->insert_batch(
-            chunk, 0.0,
-            [&](core::UnitId target) {
-              return w->append_insert(target, chunk[cursor++]);
-            },
-            [&](core::UnitId target) { w->maybe_commit(target); });
+        core->insert_batch(chunk, 0.0, [&](core::UnitId target) {
+          shards.add(target);
+          return w->append_insert(target, chunk[cursor++]);
+        });
       } else {
         core->insert_batch(chunk, 0.0);
       }
@@ -329,7 +354,7 @@ struct Store::Impl {
 
     if (nthreads <= 1) {
       for (std::size_t cb = b; cb < e; cb += kChunk)
-        apply_chunk(cb, std::min(cb + kChunk, e));
+        apply_chunk(cb, std::min(cb + kChunk, e), touched);
       return;
     }
 
@@ -337,13 +362,14 @@ struct Store::Impl {
     std::atomic<bool> stop{false};
     util::Mutex err_mu;
     std::exception_ptr first_error;
-    auto worker = [&] {
+    std::vector<ShardSet> worker_shards(nthreads);
+    auto worker = [&](ShardSet& shards) {
       try {
         while (!stop.load(std::memory_order_relaxed)) {
           const std::size_t cb =
               next.fetch_add(kChunk, std::memory_order_relaxed);
           if (cb >= e) break;
-          apply_chunk(cb, std::min(cb + kChunk, e));
+          apply_chunk(cb, std::min(cb + kChunk, e), shards);
         }
       } catch (...) {
         const util::MutexLock lk(err_mu);
@@ -353,9 +379,11 @@ struct Store::Impl {
     };
     std::vector<std::thread> workers;
     workers.reserve(nthreads);
-    for (std::size_t t = 0; t < nthreads; ++t) workers.emplace_back(worker);
+    for (std::size_t t = 0; t < nthreads; ++t)
+      workers.emplace_back(worker, std::ref(worker_shards[t]));
     for (auto& w : workers) w.join();
     if (first_error) std::rethrow_exception(first_error);
+    for (const ShardSet& shards : worker_shards) touched.merge(shards);
   }
 
   /// Cadence accounting: every acknowledged mutation counts toward the
@@ -510,14 +538,8 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
   }
 
   try {
-    // group_commit == 0 means adaptive sizing: each shard converges on
-    // its own batch from fsync-latency and arrival-rate EWMAs, seeded
-    // from the paper's aggregation factor until the estimates warm up.
-    im.wal = std::make_unique<persist::ShardedWal>(
-        path, im.core->units().size(),
-        options.group_commit > 0 ? options.group_commit
-                                 : im.core->config().version_ratio,
-        /*adaptive=*/options.group_commit == 0);
+    im.wal = std::make_unique<persist::ShardedWal>(path,
+                                                   im.core->units().size());
     // A rebased shard dir restarts its on-disk seq counter; the base image
     // remembers the commit frontier, so fresh stamps must start strictly
     // past everything already applied or time-travel reads would see two
@@ -589,7 +611,9 @@ Status Store::Put(const metadata::FileMetadata& file) {
   Status gate = impl_->check_serving();
   if (!gate.ok()) return gate;
   try {
-    impl_->insert_one(file);
+    ShardSet touched;
+    impl_->insert_one(file, touched);
+    impl_->commit(touched);
     impl_->puts.fetch_add(1, std::memory_order_relaxed);
     impl_->note_mutations(1);
     return Status::OK();
@@ -609,8 +633,10 @@ Status Store::Delete(const std::string& name) {
   Status gate = impl_->check_serving();
   if (!gate.ok()) return gate;
   try {
-    const bool existed = impl_->erase_one(name);
+    ShardSet touched;
+    const bool existed = impl_->erase_one(name, touched);
     if (!existed) return Status::NotFound("no file named '" + name + "'");
+    impl_->commit(touched);
     impl_->deletes.fetch_add(1, std::memory_order_relaxed);
     impl_->note_mutations(1);
     return Status::OK();
@@ -632,6 +658,7 @@ Status Store::Write(WriteBatch&& batch) {
   Status gate = impl_->check_serving();
   if (!gate.ok()) return gate;
   try {
+    ShardSet touched;
     std::uint64_t applied_puts = 0;
     std::uint64_t applied_deletes = 0;
     std::size_t i = 0;
@@ -639,20 +666,21 @@ Status Store::Write(WriteBatch&& batch) {
       if (ops[i].type == WriteBatch::OpType::kPut) {
         std::size_t j = i;
         while (j < ops.size() && ops[j].type == WriteBatch::OpType::kPut) ++j;
-        impl_->apply_put_run(ops, i, j);
+        impl_->apply_put_run(ops, i, j, touched);
         applied_puts += j - i;
         i = j;
       } else {
         // A Delete of an absent name inside a batch is not an error — the
         // batch's contract is "apply what exists", mirroring erase
         // replay's idempotence.
-        if (impl_->erase_one(ops[i].name)) {
+        if (impl_->erase_one(ops[i].name, touched)) {
           ++applied_deletes;
           impl_->note_mutations(1);
         }
         ++i;
       }
     }
+    impl_->commit(touched);
     impl_->puts.fetch_add(applied_puts, std::memory_order_relaxed);
     impl_->deletes.fetch_add(applied_deletes, std::memory_order_relaxed);
     return Status::OK();
@@ -815,6 +843,8 @@ Status Store::Flush() {
     return Status::FailedPrecondition("ephemeral store has no WAL");
   if (!impl_->log()) return Status::OK();  // durable but unlogged: no-op
   try {
+    // Every acknowledged mutation is already durable; this barrier only
+    // seals records a failed call appended but never committed.
     impl_->wal->commit_all();
     return Status::OK();
   } catch (const persist::FaultInjected& e) {
@@ -883,6 +913,7 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
         "survive its own crash); this store has no WAL");
   }
   try {
+    ShardSet touched;
     std::uint64_t applied = 0;
     for (const ReplicatedOp& op : ops) {
       // The frontier gate: applies run strictly in seq order, so anything
@@ -896,35 +927,34 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
         // absence) so this seq survives a local restart too — otherwise a
         // promoted follower could re-stamp it for a different mutation.
         im.wal->append_remove_at(0, std::string(), op.seq);
+        touched.add(0);
         im.core->note_commit_seq(op.seq);
         ++applied;
         continue;
       }
       if (op.is_insert) {
-        im.core->insert_file(
-            op.file, 0.0,
-            [&](core::UnitId target) {
-              im.wal->append_insert_at(target, op.file, op.seq);
-              return op.seq;
-            },
-            [&](core::UnitId target) { im.wal->maybe_commit(target); });
+        im.core->insert_file(op.file, 0.0, [&](core::UnitId target) {
+          touched.add(target);
+          im.wal->append_insert_at(target, op.file, op.seq);
+          return op.seq;
+        });
       } else {
         // Absent-name removes are fine: mirrors recovery replay's
         // idempotence (the delete was acked somewhere; re-applying onto a
         // state that never saw the insert must not fail the stream).
-        const bool existed = im.core->erase_file(
-            op.name,
-            [&](core::UnitId located) {
+        const bool existed =
+            im.core->erase_file(op.name, [&](core::UnitId located) {
+              touched.add(located);
               im.wal->append_remove_at(located, op.name, op.seq);
               return op.seq;
-            },
-            [&](core::UnitId located) { im.wal->maybe_commit(located); });
+            });
         if (!existed) {
           // Identical histories mean the name always exists here; still,
           // the stream must neither stall the frontier nor let a restart
           // reuse op.seq for a different mutation — log the no-op remove
           // anyway (replay of a kRemove tolerates absence) and advance.
           im.wal->append_remove_at(0, op.name, op.seq);
+          touched.add(0);
           im.core->note_commit_seq(op.seq);
         }
       }
@@ -932,7 +962,7 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
     }
     // Ack barrier: the caller reports the returned frontier as durable,
     // so every record applied above must hit disk before we return.
-    im.wal->commit_all();
+    im.commit(touched);
     if (frontier_out) *frontier_out = im.core->last_commit_seq();
     im.note_mutations(applied);
     return Status::OK();
@@ -1007,11 +1037,10 @@ Status Store::LoadBootstrap(std::uint64_t seq,
     // original per-record seqs); there are at most `seq` of them, so all
     // stamps land at or below `seq` — then the frontier jumps TO `seq`,
     // and the resumed stream (> seq) passes the ApplyReplicated gate.
-    for (const metadata::FileMetadata& f : files) im.insert_one(f);
-    if (persist::ShardedWal* w = im.log()) {
-      w->commit_all();  // durable before the follower acks `seq`
-      w->ensure_seq_at_least(seq + 1);
-    }
+    ShardSet touched;
+    for (const metadata::FileMetadata& f : files) im.insert_one(f, touched);
+    im.commit(touched);  // durable before the follower acks `seq`
+    if (persist::ShardedWal* w = im.log()) w->ensure_seq_at_least(seq + 1);
     im.core->note_commit_seq(seq);
     im.note_mutations(files.size());
     return Status::OK();
@@ -1082,11 +1111,6 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
           total += im.wal->committed_records(s);
       }
       return u64(total);
-    }
-    if (name == "smartstore.wal.group-commit.effective") {
-      // Adaptive mode: mean of the per-shard EWMA-derived batch targets;
-      // static mode: the configured size. 0 on a store without a WAL.
-      return u64(im.wal ? im.wal->effective_group_commit() : 0);
     }
     if (name == "smartstore.wal.frontier") {
       if (!im.wal) {
@@ -1282,7 +1306,7 @@ Status Store::Close() {
   }
   if (im.wal && !crashed && !im.crashed.load(std::memory_order_acquire)) {
     try {
-      im.wal->commit_all();  // acknowledged-but-unflushed tail -> durable
+      im.wal->commit_all();  // records of calls that failed mid-way
     } catch (const persist::FaultInjected& e) {
       im.crashed.store(true, std::memory_order_release);
       im.wal->abandon();

@@ -18,7 +18,7 @@
 // shard logs; Store::Open then folds once and removes wal.bin, so a legacy
 // log is replayed exactly once. A crash anywhere inside a cut or fold
 // recovers exactly (see delta_checkpoint.h for the windows). A torn or
-// truncated tail rolls any log back to its last group-commit boundary —
+// truncated tail rolls any log back to its last commit boundary —
 // in the sharded layout that loses only *unacknowledged* records of that
 // shard, never an acknowledged record of another shard.
 #pragma once

@@ -239,9 +239,7 @@ WalScan scan_wal(const std::string& path) {
 
 // ---- writer -----------------------------------------------------------------
 
-WalWriter::WalWriter(std::string path, std::size_t group_commit)
-    : path_(std::move(path)),
-      group_commit_(group_commit == 0 ? 1 : group_commit) {
+WalWriter::WalWriter(std::string path) : path_(std::move(path)) {
   open_truncated_to_valid_prefix();
 }
 
@@ -290,13 +288,8 @@ void WalWriter::open_truncated_to_valid_prefix() {
   committed_bytes_ = kHeaderBytes;
 }
 
-// log() and append() encode through encode_wal_record so the live-append
-// layout and the rebase slow path cannot drift.
-
-void WalWriter::log(const WalRecord& rec) {
-  append(rec);
-  if (pending_ >= group_commit_) commit();
-}
+// append() encodes through encode_wal_record so the live-append layout and
+// the rebase slow path cannot drift.
 
 void WalWriter::append(const WalRecord& rec) {
   encode_wal_record(batch_, rec, /*with_seq=*/true);
@@ -304,7 +297,10 @@ void WalWriter::append(const WalRecord& rec) {
 }
 
 void WalWriter::commit() {
-  if (pending_ == 0 || !file_) return;
+  if (pending_ == 0) return;
+  if (!file_)
+    throw PersistError("WAL handle is dead; pending records lost: " + path_,
+                       PersistError::Code::kIo);
   util::BinaryWriter block;
   block.write_u32(kWalBlockMagic);
   block.write_u32(static_cast<std::uint32_t>(pending_));

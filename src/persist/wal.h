@@ -4,13 +4,13 @@
 // one kRemove per delete_file, plus the reconfiguration operations
 // (add_storage_unit / remove_storage_unit / autoconfigure), so a crash
 // between a topology change and the next checkpoint replays into the new
-// topology, not the old one. Records are batched into group-commit blocks
-// the same way Section 4.4 aggregates changes into sealed VersionDeltas:
-// `group_commit` records (default: the store's version_ratio) form one
-// atomic, CRC-checksummed block, flushed and fsynced together. Recovery is
+// topology, not the old one. Records are batched into commit blocks the
+// same way Section 4.4 aggregates changes into sealed VersionDeltas: every
+// record appended since the previous commit forms one atomic,
+// CRC-checksummed block, flushed and fsynced together. Recovery is
 // load-latest-snapshot + replay; a torn or truncated tail block (the crash
 // window) is detected by its checksum/length and dropped, rolling the log
-// back to the last group-commit boundary.
+// back to the last commit boundary.
 //
 // On-disk layout (little-endian):
 //
@@ -122,23 +122,21 @@ class WalWriter {
   /// truncated to its last valid commit block first, so a torn tail from a
   /// previous crash never poisons subsequent appends. Throws PersistError
   /// when `path` holds a legacy v01/v02 log: those are read-only.
-  explicit WalWriter(std::string path, std::size_t group_commit = 4);
+  explicit WalWriter(std::string path);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends a pre-stamped record, committing once the batch reaches the
-  /// group-commit size.
-  void log(const WalRecord& rec);
-
-  /// Appends without ever auto-committing — the sharded writer's
-  /// under-the-unit-lock half (the group-commit fsync then runs from
-  /// maybe_commit() after the caller has released its locks).
+  /// Buffers a pre-stamped record; it is durable once a later commit()
+  /// returns.
   void append(const WalRecord& rec);
 
   /// Seals the pending batch into one commit block: write, flush, fsync.
-  /// No-op when nothing is pending.
+  /// No-op when nothing is pending. Throws PersistError when records are
+  /// pending behind a dead handle (abandoned, or killed by an injected
+  /// fault inside an earlier commit): they can never become durable, so
+  /// the caller must not acknowledge them.
   void commit();
 
   /// No byte hint: rebase() falls back to re-parsing the log.
@@ -163,8 +161,8 @@ class WalWriter {
 
   /// Drops the handle and the pending batch without committing — the
   /// in-process stand-in for the process dying with this writer open
-  /// (crash-injection tests freeze the on-disk state with this). Every
-  /// later append or commit through this object is a no-op.
+  /// (crash-injection tests freeze the on-disk state with this). A later
+  /// commit() of newly appended records throws.
   void abandon();
 
   std::size_t pending_records() const { return pending_; }
@@ -181,7 +179,6 @@ class WalWriter {
   void open_truncated_to_valid_prefix();
 
   std::string path_;
-  std::size_t group_commit_;
   std::FILE* file_ = nullptr;
   util::BinaryWriter batch_;
   std::size_t pending_ = 0;

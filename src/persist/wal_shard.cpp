@@ -2,32 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
-#include <cmath>
 #include <filesystem>
 
 namespace smartstore::persist {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// EWMA smoothing factor. 1/8 reacts within a few dozen records while a
-/// single outlier (one stalled fsync, one idle gap) moves the estimate
-/// by at most 12.5%.
-constexpr double kEwmaAlpha = 0.125;
-
-double ewma(double state, double sample) {
-  return state <= 0 ? sample : state + kEwmaAlpha * (sample - state);
-}
-
-}  // namespace
 
 std::string ShardedWal::shard_dir(const std::string& deploy_dir) {
   return (fs::path(deploy_dir) / "wal").string();
@@ -54,12 +33,8 @@ bool ShardedWal::parse_shard_id(const fs::path& p, std::uint64_t* id_out) {
   return true;
 }
 
-ShardedWal::ShardedWal(std::string deploy_dir, std::size_t num_shards,
-                       std::size_t group_commit, bool adaptive)
-    : deploy_dir_(std::move(deploy_dir)),
-      dir_(shard_dir(deploy_dir_)),
-      group_commit_(group_commit == 0 ? 1 : group_commit),
-      adaptive_(adaptive) {
+ShardedWal::ShardedWal(std::string deploy_dir, std::size_t num_shards)
+    : deploy_dir_(std::move(deploy_dir)), dir_(shard_dir(deploy_dir_)) {
   fs::create_directories(dir_);
 
   // Open every shard already on disk (a restart must resume the sequence
@@ -90,8 +65,8 @@ ShardedWal::Shard& ShardedWal::shard(std::size_t i) {
   const util::MutexLock lock(map_mu_);
   if (i >= shards_.size()) shards_.resize(i + 1);
   if (!shards_[i]) {
-    shards_[i] = std::make_unique<Shard>(std::make_unique<WalWriter>(
-        shard_path(deploy_dir_, i), group_commit_));
+    shards_[i] = std::make_unique<Shard>(
+        std::make_unique<WalWriter>(shard_path(deploy_dir_, i)));
   }
   return *shards_[i];
 }
@@ -151,142 +126,58 @@ void ShardedWal::drain_tap(Shard& s) {
                       s.tap_pending.begin() + static_cast<long>(committed));
 }
 
-std::uint64_t ShardedWal::log_insert(std::size_t shard_id,
-                                     const metadata::FileMetadata& f) {
+std::uint64_t ShardedWal::append(std::size_t shard_id, WalRecord rec) {
   Shard& s = shard(shard_id);
   const util::MutexLock lock(s.mu);
-  WalRecord rec;
-  rec.type = WalRecordType::kInsert;
-  rec.file = f;
-  rec.seq = stamp();
+  if (rec.seq == 0) rec.seq = stamp();
   tap_append(s, rec);
-  note_append(s);
   s.writer->append(rec);
-  if (s.writer->pending_records() >= shard_group_commit(s)) timed_commit(s);
-  drain_tap(s);
-  return rec.seq;
-}
-
-std::uint64_t ShardedWal::log_remove(std::size_t shard_id,
-                                     const std::string& name) {
-  Shard& s = shard(shard_id);
-  const util::MutexLock lock(s.mu);
-  WalRecord rec;
-  rec.type = WalRecordType::kRemove;
-  rec.name = name;
-  rec.seq = stamp();
-  tap_append(s, rec);
-  note_append(s);
-  s.writer->append(rec);
-  if (s.writer->pending_records() >= shard_group_commit(s)) timed_commit(s);
-  drain_tap(s);
   return rec.seq;
 }
 
 std::uint64_t ShardedWal::append_insert(std::size_t shard_id,
                                         const metadata::FileMetadata& f) {
-  Shard& s = shard(shard_id);
-  const util::MutexLock lock(s.mu);
   WalRecord rec;
   rec.type = WalRecordType::kInsert;
   rec.file = f;
-  rec.seq = stamp();
-  tap_append(s, rec);
-  note_append(s);
-  s.writer->append(rec);
-  return rec.seq;
+  return append(shard_id, std::move(rec));
 }
 
 std::uint64_t ShardedWal::append_remove(std::size_t shard_id,
                                         const std::string& name) {
-  Shard& s = shard(shard_id);
-  const util::MutexLock lock(s.mu);
   WalRecord rec;
   rec.type = WalRecordType::kRemove;
   rec.name = name;
-  rec.seq = stamp();
-  tap_append(s, rec);
-  note_append(s);
-  s.writer->append(rec);
-  return rec.seq;
+  return append(shard_id, std::move(rec));
 }
 
 void ShardedWal::append_insert_at(std::size_t shard_id,
                                   const metadata::FileMetadata& f,
                                   std::uint64_t seq) {
-  Shard& s = shard(shard_id);
-  const util::MutexLock lock(s.mu);
   WalRecord rec;
   rec.type = WalRecordType::kInsert;
   rec.file = f;
   rec.seq = seq;
-  tap_append(s, rec);
-  note_append(s);
-  s.writer->append(rec);
+  append(shard_id, std::move(rec));
   ensure_seq_at_least(seq + 1);
 }
 
 void ShardedWal::append_remove_at(std::size_t shard_id,
                                   const std::string& name, std::uint64_t seq) {
-  Shard& s = shard(shard_id);
-  const util::MutexLock lock(s.mu);
   WalRecord rec;
   rec.type = WalRecordType::kRemove;
   rec.name = name;
   rec.seq = seq;
-  tap_append(s, rec);
-  note_append(s);
-  s.writer->append(rec);
+  append(shard_id, std::move(rec));
   ensure_seq_at_least(seq + 1);
 }
 
-void ShardedWal::maybe_commit(std::size_t shard_id) {
+void ShardedWal::commit(std::size_t shard_id) {
   Shard* s = shard_if_exists(shard_id);
   if (!s) return;
   const util::MutexLock lock(s->mu);
-  if (s->writer->pending_records() >= shard_group_commit(*s))
-    timed_commit(*s);
+  s->writer->commit();
   drain_tap(*s);
-}
-
-void ShardedWal::note_append(Shard& s) {
-  if (!adaptive_) return;
-  const double now = steady_seconds();
-  if (s.last_append_s >= 0) s.ewma_gap_s = ewma(s.ewma_gap_s, now - s.last_append_s);
-  s.last_append_s = now;
-}
-
-void ShardedWal::timed_commit(Shard& s) {
-  if (!adaptive_) {
-    s.writer->commit();
-    return;
-  }
-  const double start = steady_seconds();
-  s.writer->commit();
-  s.ewma_sync_s = ewma(s.ewma_sync_s, steady_seconds() - start);
-  // Amortization balance point: batch until the fsync cost is spread at
-  // the rate records actually arrive on this shard. An idle shard (gap ≫
-  // sync) converges to 1 — latency-optimal; a hot one grows toward the
-  // ceiling.
-  if (s.ewma_gap_s > 0 && s.ewma_sync_s > 0) {
-    const double ratio = s.ewma_sync_s / s.ewma_gap_s;
-    s.target = static_cast<std::size_t>(std::clamp(
-        ratio, 1.0, static_cast<double>(kMaxAdaptiveGroupCommit)));
-  }
-}
-
-std::size_t ShardedWal::effective_group_commit() const {
-  if (!adaptive_) return group_commit_;
-  std::size_t sum = 0, n = 0;
-  const std::size_t shards = num_shards();
-  for (std::size_t i = 0; i < shards; ++i) {
-    Shard* s = shard_if_exists(i);
-    if (!s) continue;
-    const util::MutexLock lock(s->mu);
-    sum += s->target > 0 ? s->target : group_commit_;
-    ++n;
-  }
-  return n == 0 ? group_commit_ : sum / n;
 }
 
 std::uint64_t ShardedWal::log_structural(const WalRecord& rec_in) {
@@ -302,7 +193,7 @@ std::uint64_t ShardedWal::log_structural(const WalRecord& rec_in) {
   // markers): they consume a stamp, and a seq-ordered replication stream
   // would otherwise wait forever on the hole.
   tap_append(s, rec);
-  s.writer->log(rec);
+  s.writer->append(rec);
   s.writer->commit();
   drain_tap(s);
   return rec.seq;

@@ -5,13 +5,16 @@
 // (persist/wal.h) whose records carry a store-wide monotonic sequence
 // number. A record for storage unit u is appended to shard u under the
 // caller-held unit stripe (core::SmartStore::WalHook), which makes each
-// shard's record order equal that unit's in-memory apply order; shards
-// group-commit and fsync independently, so writers routed to different
-// units overlap their durability waits. Recovery (persist/recovery.h)
-// scans every shard and replays the merged record stream in sequence
-// order — records that cross shards are independent (they touch different
-// units), so losing an *unacknowledged* suffix of one shard never
-// invalidates an acknowledged record in another.
+// shard's record order equal that unit's in-memory apply order. Each
+// mutating call commits every shard it appended to once, after its store
+// locks are released, before it acknowledges; shards fsync independently,
+// so writers routed to different units overlap their durability waits,
+// and writers racing on one shard batch naturally — the first to take the
+// shard mutex commits every record appended so far. Recovery
+// (persist/recovery.h) scans every shard and replays the merged record
+// stream in sequence order — records that cross shards are independent
+// (they touch different units), so losing an *unacknowledged* suffix of
+// one shard never invalidates an acknowledged record in another.
 //
 // Structural operations (add/remove unit, autoconfigure) are logged under
 // the store's exclusive structure lock through a barrier: every shard is
@@ -61,16 +64,7 @@ class ShardedWal {
   /// Opens (creating if needed) the shard directory under `deploy_dir` and
   /// every existing shard log in it, plus shards [0, num_shards). The
   /// store-wide sequence counter resumes past the largest sequence found.
-  ///
-  /// With `adaptive` set, `group_commit` is only the starting point: each
-  /// shard re-sizes its own batch from an EWMA of its fsync latency and
-  /// record inter-arrival gap — batch ≈ sync_cost / arrival_gap, clamped
-  /// to [1, kMaxAdaptiveGroupCommit] — so a hot shard amortizes the fsync
-  /// over more records while an idle one stays at latency-optimal 1.
-  /// Adaptive timing makes commit points wall-clock-dependent; the
-  /// deterministic crash sweeps pass explicit static sizes instead.
-  ShardedWal(std::string deploy_dir, std::size_t num_shards,
-             std::size_t group_commit = 4, bool adaptive = false);
+  ShardedWal(std::string deploy_dir, std::size_t num_shards);
 
   ShardedWal(const ShardedWal&) = delete;
   ShardedWal& operator=(const ShardedWal&) = delete;
@@ -90,23 +84,17 @@ class ShardedWal {
   // ---- per-unit records (called from the store's WalHook, under that
   // ---- unit's lock) ------------------------------------------------------
 
-  /// Append + group-commit in one call (fsync may run under the caller's
-  /// unit lock — fine for single-threaded drivers and the deterministic
-  /// crash sweeps). Returns the stamped sequence number: the store adopts
-  /// it as the mutation's commit timestamp (MVCC snapshot visibility).
-  std::uint64_t log_insert(std::size_t shard, const metadata::FileMetadata& f);
-  std::uint64_t log_remove(std::size_t shard, const std::string& name);
-
-  /// The two-phase flavour the concurrent ingest paths use: append_* runs
-  /// under the unit lock (cheap — encode + buffer), maybe_commit runs
-  /// from the store's flush hook AFTER the unit lock is released, so a
-  /// group-commit fsync never blocks another writer routed to the same
-  /// unit, only the shard it flushes. Returns the stamped seq, as above.
+  /// Appends under the unit lock (cheap — encode + buffer). Returns the
+  /// stamped sequence number: the store adopts it as the mutation's commit
+  /// timestamp (MVCC snapshot visibility). The record is durable once a
+  /// later commit(shard) — or any barrier below — returns.
   std::uint64_t append_insert(std::size_t shard,
                               const metadata::FileMetadata& f);
   std::uint64_t append_remove(std::size_t shard, const std::string& name);
-  /// Commits `shard` if its pending batch reached the group-commit size.
-  void maybe_commit(std::size_t shard);
+  /// Seals `shard`'s pending records into one block and fsyncs it; a
+  /// no-op when another writer's commit already covered them. Call after
+  /// every store lock is released: the fsync stalls only this shard.
+  void commit(std::size_t shard);
 
   /// Replication-apply flavour: appends a record carrying the PRIMARY's
   /// sequence number instead of stamping a fresh one, then raises the
@@ -174,18 +162,7 @@ class ShardedWal {
                               cur, floor, std::memory_order_relaxed)) {
     }
   }
-  std::size_t group_commit() const { return group_commit_; }
-  bool adaptive() const { return adaptive_; }
-  /// The group-commit size actually in force: the static configuration
-  /// when not adaptive, else the mean of the per-shard adaptive targets
-  /// (shards that have not yet converged report the starting size).
-  std::size_t effective_group_commit() const;
   const std::string& dir() const { return dir_; }
-
-  /// Ceiling of the adaptive batch size: past this, the marginal fsync
-  /// amortization is negligible but the unacked-loss window on a torn
-  /// tail keeps growing.
-  static constexpr std::size_t kMaxAdaptiveGroupCommit = 64;
 
  private:
   struct Shard {
@@ -195,19 +172,12 @@ class ShardedWal {
     /// the freeze mutex — and must never be held while taking either.
     mutable util::Mutex mu{util::LockRank::kWalShard};
     std::unique_ptr<WalWriter> writer SS_GUARDED_BY(mu);
-    // Adaptive group-commit state (all under mu; unused when the log runs
-    // a static size). Gaps and sync costs are EWMA-smoothed so one slow
-    // fsync or one idle stretch does not whipsaw the batch size.
-    double ewma_sync_s SS_GUARDED_BY(mu) = 0;
-    double ewma_gap_s SS_GUARDED_BY(mu) = 0;
-    double last_append_s SS_GUARDED_BY(mu) = -1;  ///< steady-clock seconds
-    std::size_t target SS_GUARDED_BY(mu) = 0;     ///< 0 = not yet converged
     /// Data records appended while the tap was armed but not yet known
     /// committed. The drain invariant: the first
     /// `tap_pending.size() - writer->pending_records()` entries are
     /// durable and get delivered (works no matter where the commit
-    /// happened — group-commit inside log(), explicit commit(), or a
-    /// barrier), because tapped records commit strictly in append order.
+    /// happened — commit(shard) or a barrier), because tapped records
+    /// commit strictly in append order.
     std::vector<WalRecord> tap_pending SS_GUARDED_BY(mu);
   };
 
@@ -219,6 +189,8 @@ class ShardedWal {
     return next_seq_.fetch_add(1, std::memory_order_relaxed);
   }
   std::uint64_t log_structural(const WalRecord& rec);
+  /// Stamps (unless `rec.seq` is preset), taps and appends under s.mu.
+  std::uint64_t append(std::size_t shard, WalRecord rec);
   /// Copies `rec` into the shard's tap queue iff the tap is armed.
   void tap_append(Shard& s, const WalRecord& rec) SS_REQUIRES(s.mu);
   /// Delivers the committed prefix of the shard's tap queue (see the
@@ -226,22 +198,8 @@ class ShardedWal {
   void drain_tap(Shard& s) SS_REQUIRES(s.mu);
   std::shared_ptr<const CommitTap> tap_snapshot() const;
 
-  // ---- adaptive sizing (no-ops when adaptive_ is unset) -------------------
-  /// Folds the inter-arrival gap since the shard's previous append into
-  /// its EWMA. Call on every data append, under s.mu.
-  void note_append(Shard& s) SS_REQUIRES(s.mu);
-  /// Commits the shard's batch, timing the flush+fsync into the EWMA and
-  /// recomputing the target batch size.
-  void timed_commit(Shard& s) SS_REQUIRES(s.mu);
-  /// This shard's in-force batch size.
-  std::size_t shard_group_commit(const Shard& s) const SS_REQUIRES(s.mu) {
-    return adaptive_ && s.target > 0 ? s.target : group_commit_;
-  }
-
   std::string deploy_dir_;
   std::string dir_;  ///< <deploy_dir>/wal
-  std::size_t group_commit_;
-  bool adaptive_ = false;
   /// Guards the shard vector's SHAPE only; Shard objects themselves are
   /// heap-stable and carry their own mutex (never held together with this
   /// one — shard()/shard_if_exists() release it before returning).

@@ -71,7 +71,7 @@ enum class Method : std::uint8_t {
   kRangeQuery = 4,  ///< multi-dimensional interval (scatter-gather)
   kTopKQuery = 5,   ///< k nearest neighbors (scatter-gather)
   kBatchWrite = 6,  ///< ordered put/delete batch (keyed per-op, deduped)
-  kFlush = 7,       ///< group-commit the shard's WAL
+  kFlush = 7,       ///< commit barrier over the shard's WAL
   kGetMap = 8,      ///< fetch the authoritative partition map
   kStats = 9,       ///< shard counters (applied ops, dup hits, files)
   kSnapPin = 10,    ///< pin a shard snapshot; response carries the lease

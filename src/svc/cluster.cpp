@@ -55,16 +55,10 @@ db::Options Cluster::NodeStoreOptions(std::uint32_t node) const {
     // In-memory stores reject durability knobs (nothing to checkpoint).
     o.checkpoint_every = 0;
   } else {
-    // Acked => durable: every mutation's WAL append fsyncs before the
-    // response leaves the shard, so Abandon cannot lose an acked write.
+    // Acked => durable: a WAL-logged store commits every mutation before
+    // it returns, so the response never leaves the shard ahead of its
+    // fsync and Abandon cannot lose an acked write.
     o.enable_wal = true;
-    o.group_commit = std::max<std::size_t>(1, o.group_commit);
-    if (options_.replication_factor > 1) {
-      // The ack barrier waits for the follower to cover THIS mutation's
-      // seq; cross-request commit batching would couple one client's ack
-      // latency to another's arrival. Each mutation commits itself.
-      o.group_commit = 1;
-    }
   }
   return o;
 }

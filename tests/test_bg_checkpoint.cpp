@@ -57,13 +57,12 @@ struct Deployment {
   ShardedWal wal;
   DeltaEngine engine;
 
-  Deployment(const char* tag, std::size_t units, unsigned downscale,
-             std::size_t group_commit = 4)
+  Deployment(const char* tag, std::size_t units, unsigned downscale)
       : trace(trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
                                               downscale)),
         dir(temp_dir(tag)),
         store(make_config(units)),
-        wal(dir, units, group_commit),
+        wal(dir, units),
         engine(store, wal, dir) {
     store.build(trace.files());
   }
@@ -77,10 +76,12 @@ struct Deployment {
   }
 
   void insert(const FileMetadata& f) {
-    store.insert_file(
-        f, 0.0,
-        [&](core::UnitId target) { return wal.append_insert(target, f); },
-        [&](core::UnitId target) { wal.maybe_commit(target); });
+    core::UnitId target = 0;
+    store.insert_file(f, 0.0, [&](core::UnitId u) {
+      target = u;
+      return wal.append_insert(u, f);
+    });
+    wal.commit(target);
   }
 };
 
@@ -221,7 +222,7 @@ TEST(BgCheckpoint, ServesQueriesOnTheWritingThreadDuringCheckpoints) {
 }
 
 TEST(BgCheckpoint, LoggedReconfigurationReplaysIntoNewTopology) {
-  Deployment d("reconf", 6, /*downscale=*/40, /*group_commit=*/2);
+  Deployment d("reconf", 6, /*downscale=*/40);
   d.engine.fold();
   const std::size_t base_units = d.store.units().size();
   SmartStore& store = d.store;
@@ -292,7 +293,7 @@ TEST(BgCheckpoint, SecondTriggerWhileRunningIsRejected) {
 }
 
 TEST(BgCheckpoint, FenceAccountingMatchesTheLog) {
-  Deployment d("fence", 6, /*downscale=*/40, /*group_commit=*/2);
+  Deployment d("fence", 6, /*downscale=*/40);
   d.engine.fold();
   util::ThreadPool pool(1);
   BackgroundCheckpointer bg(d.engine, pool, /*max_chain_len=*/4,

@@ -6,13 +6,18 @@
 // background checkpoints freeze, serialize and rebase the sharded WAL
 // underneath, and queries keep running throughout. Assertions run against
 // a map oracle after the threads join (every insert landed exactly once,
-// invariants hold, recovery reproduces the live state); the data-race
-// half of the contract is what the ThreadSanitizer build of this suite
-// checks (CMakePresets' tsan preset includes it).
+// invariants hold, recovery reproduces the live state, every call the
+// db::Store facade acknowledged survives a crash); the data-race half of
+// the contract is what the ThreadSanitizer build of this suite checks
+// (CMakePresets' tsan preset includes it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -22,6 +27,7 @@
 #include "persist/delta_checkpoint.h"
 #include "persist/recovery.h"
 #include "persist/wal_shard.h"
+#include "smartstore/smartstore.h"
 #include "trace/synth.h"
 #include "util/thread_pool.h"
 
@@ -65,21 +71,26 @@ struct Deployment {
 };
 
 /// The write-ahead discipline db::Store wires: the append fires under the
-/// routed unit's lock, the group-commit fsync after it is released.
+/// routed unit's lock, the commit after the core call returned.
 void logged_insert(SmartStore& store, ShardedWal& wal,
                    const FileMetadata& f) {
-  store.insert_file(
-      f, 0.0,
-      [&](core::UnitId target) { return wal.append_insert(target, f); },
-      [&](core::UnitId target) { wal.maybe_commit(target); });
+  core::UnitId target = 0;
+  store.insert_file(f, 0.0, [&](core::UnitId u) {
+    target = u;
+    return wal.append_insert(u, f);
+  });
+  wal.commit(target);
 }
 
 bool logged_erase(SmartStore& store, ShardedWal& wal,
                   const std::string& name) {
-  return store.erase_file(
-      name,
-      [&](core::UnitId located) { return wal.append_remove(located, name); },
-      [&](core::UnitId located) { wal.maybe_commit(located); });
+  core::UnitId located = 0;
+  const bool existed = store.erase_file(name, [&](core::UnitId u) {
+    located = u;
+    return wal.append_remove(u, name);
+  });
+  if (existed) wal.commit(located);
+  return existed;
 }
 
 /// Splits [0, n) into `parts` contiguous ranges.
@@ -224,7 +235,7 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   Deployment d(8, /*downscale=*/20);
   SmartStore& store = d.store;
 
-  ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
+  ShardedWal wal(dir, store.units().size());
   DeltaEngine engine(store, wal, dir);
   engine.fold();
 
@@ -270,9 +281,8 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   }
   EXPECT_GE(checkpoints, 2u);
 
-  // Acknowledge everything still pending, then recovery must reproduce
-  // the live store exactly: base + delta chain + merged shard tails.
-  wal.commit_all();
+  // Every call committed its own records, so recovery must reproduce the
+  // live store exactly: base + delta chain + merged shard tails.
   const RecoveryResult rec = recover(dir);
   ASSERT_TRUE(rec.store);
   EXPECT_TRUE(rec.store->check_invariants());
@@ -287,7 +297,7 @@ TEST(MultiWriter, StructuralOpsBarrierAgainstConcurrentWriters) {
   Deployment d(6, /*downscale=*/30);
   SmartStore& store = d.store;
 
-  ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
+  ShardedWal wal(dir, store.units().size());
   DeltaEngine engine(store, wal, dir);
   engine.fold();
 
@@ -318,6 +328,92 @@ TEST(MultiWriter, StructuralOpsBarrierAgainstConcurrentWriters) {
   EXPECT_EQ(rec.store->variants().size(), store.variants().size());
   EXPECT_EQ(rec.store->total_files(), store.total_files());
   EXPECT_EQ(unit_names(*rec.store), unit_names(store));
+  std::filesystem::remove_all(dir);
+}
+
+// ---- the facade's durability contract --------------------------------------
+
+/// Every call that returns OK is durable: eight writers run mixed Put /
+/// Delete / small Write batches against a WAL-logged db::Store with no
+/// Flush, the store is abandoned (the process dies), and the reopened
+/// directory must reflect every acknowledged call exactly.
+TEST(MultiWriter, EveryAckedMutationSurvivesAbandon) {
+  const std::string dir = temp_dir("acked");
+  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
+                                                  /*downscale=*/50);
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 48;
+  const auto stream = tr.make_insert_stream(kThreads * kPerThread, 91);
+  db::Options o;
+  o.num_units = 6;
+  o.seed = 11;
+  auto opened = db::Store::Open(o, dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<db::Store> store = std::move(opened).value();
+
+  // Per-thread oracle over disjoint names: expected presence after the
+  // last acknowledged call that touched each name.
+  std::vector<std::map<std::string, bool>> expect(kThreads);
+  std::vector<std::thread> writers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      std::map<std::string, bool>& mine = expect[t];
+      const std::size_t base = t * kPerThread;
+      for (std::size_t i = base; i + 2 < base + kPerThread; i += 3) {
+        const FileMetadata& a = stream[i];
+        const FileMetadata& b = stream[i + 1];
+        const FileMetadata& c = stream[i + 2];
+        db::Status s = store->Put(a);
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        if (s.ok()) mine[a.name] = true;
+
+        db::WriteBatch batch;
+        batch.Put(b);
+        batch.Put(c);
+        batch.Delete(a.name);
+        s = store->Write(std::move(batch));
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        if (s.ok()) {
+          mine[b.name] = true;
+          mine[c.name] = true;
+          mine[a.name] = false;
+        }
+
+        if ((i - base) % 2 == 0) {
+          s = store->Delete(b.name);
+          EXPECT_TRUE(s.ok()) << s.ToString();
+          if (s.ok()) mine[b.name] = false;
+        }
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  store->Abandon();  // no Flush, no Close: pending batches are dropped
+  store.reset();
+
+  auto reopened = db::Store::Open(o, dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  std::uint64_t seq = 0;
+  auto dump = (*reopened)->DumpSnapshot(&seq);
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  std::set<std::string> got;
+  for (const FileMetadata& f : *dump) got.insert(f.name);
+  std::set<std::string> want;
+  for (const auto& mine : expect)
+    for (const auto& [name, present] : mine)
+      if (present) want.insert(name);
+  ASSERT_FALSE(want.empty());
+  std::vector<std::string> lost, resurrected;
+  std::set_difference(want.begin(), want.end(), got.begin(), got.end(),
+                      std::back_inserter(lost));
+  std::set_difference(got.begin(), got.end(), want.begin(), want.end(),
+                      std::back_inserter(resurrected));
+  EXPECT_TRUE(lost.empty()) << lost.size() << " acked puts lost, e.g. "
+                            << lost.front();
+  EXPECT_TRUE(resurrected.empty())
+      << resurrected.size() << " acked deletes undone, e.g. "
+      << resurrected.front();
+  ASSERT_TRUE((*reopened)->Close().ok());
   std::filesystem::remove_all(dir);
 }
 

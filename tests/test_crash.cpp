@@ -67,70 +67,48 @@ std::set<std::string> unit_names(const SmartStore& s) {
 
 // ---- 1. deterministic fault-point sweeps ------------------------------------
 
-/// One logged insert's coordinates in the sharded log: which shard it
-/// landed on and its position in that shard's record order.
+/// One logged insert: the shard it landed on, and whether a commit call
+/// covering it returned before the crash (the acknowledgement).
 struct ShardedInsert {
   std::string name;
   std::size_t shard = 0;
-  std::uint64_t idx = 0;  ///< records logged to that shard before this one
+  bool acked = false;
 };
 
 struct ScenarioResult {
-  std::vector<ShardedInsert> inserts;        ///< every attempted insert
-  std::vector<std::uint64_t> committed;      ///< per-shard durable records
-                                             ///< when the crash hit
+  std::vector<ShardedInsert> inserts;  ///< every attempted insert
+  std::size_t multi_record_blocks = 0;  ///< commits sealing > 1 record
   std::set<std::string> base;
   bool completed = false;
 };
 
-/// Durable frontiers, tracked CUMULATIVELY per shard: rebases drop durable
-/// prefixes out of committed_records(), so the running `dropped` baseline
-/// is added back — `committed[s] > idx` then compares in the same
-/// coordinate system as the cumulative `logged` indices. Snapshots are
-/// taken only at points the scenario knows to be quiescent; a crash leaves
-/// the previous (conservative) value, which can only under-count acked
-/// writes, never over-count.
+/// The acknowledgement oracle, mirroring db::Store's contract: insert()
+/// appends under the unit lock, commit() commits every shard appended to
+/// since the previous commit — and only once that call returns are the
+/// records it covered acked. A crash inside either leaves them unacked, so
+/// no durable frontier needs tracking across rebases.
 struct DurableTracker {
   ScenarioResult& res;
   ShardedWal& wal;
-  std::vector<std::uint64_t> logged;
-  std::vector<std::uint64_t> dropped;
+  std::size_t unacked = 0;  ///< first res.inserts entry not yet acked
 
-  /// WAL-hooked insert; records the (shard, index) BEFORE the append, so
-  /// an append whose group commit crashes is on file but never counted
-  /// durable.
   void insert(SmartStore& store, const FileMetadata& f) {
     store.insert_file(f, 0.0, [&](core::UnitId target) {
-      if (target >= logged.size()) logged.resize(target + 1, 0);
-      res.inserts.push_back({f.name, target, logged[target]++});
-      return wal.log_insert(target, f);
+      res.inserts.push_back({f.name, target, false});
+      return wal.append_insert(target, f);
     });
-    snapshot_committed();
   }
 
-  void snapshot_committed() {
-    res.committed.assign(wal.num_shards(), 0);
-    for (std::size_t s = 0; s < wal.num_shards(); ++s)
-      res.committed[s] =
-          (s < dropped.size() ? dropped[s] : 0) + wal.committed_records(s);
-  }
-
-  /// After a rebase to `fence`: its prefix left committed_records().
-  void rebased(const WalFence& fence) {
-    for (const ShardFence& f : fence.shards) {
-      if (f.shard >= dropped.size()) dropped.resize(f.shard + 1, 0);
-      dropped[f.shard] += f.records;
+  void commit() {
+    std::set<std::size_t> shards;
+    for (std::size_t i = unacked; i < res.inserts.size(); ++i)
+      shards.insert(res.inserts[i].shard);
+    for (std::size_t s : shards) {
+      if (wal.pending_records(s) > 1) ++res.multi_record_blocks;
+      wal.commit(s);
     }
-    snapshot_committed();
-  }
-
-  /// After a successful cut/fold: it committed every shard at its barrier,
-  /// so everything logged so far is durable regardless of which shards
-  /// its rebase touched.
-  void all_durable() {
-    dropped.resize(std::max(logged.size(), wal.num_shards()), 0);
-    for (std::size_t s = 0; s < logged.size(); ++s) dropped[s] = logged[s];
-    res.committed = dropped;
+    for (; unacked < res.inserts.size(); ++unacked)
+      res.inserts[unacked].acked = true;
   }
 };
 
@@ -156,20 +134,19 @@ std::vector<FileMetadata> scenario_stream(std::size_t n) {
       .make_insert_stream(n, 77);
 }
 
-/// A legacy-layout workload: WAL-hooked inserts over per-unit shards
-/// (group commit 2) on a snapshot.bin base, a fuzzy image driven through
-/// the store's frozen section with inserts between its phases (per-shard
-/// frontier fence, concurrent-protocol rebase) — the image a pre-manifest
-/// deployment left — then the engine's fold adopting that directory, and
-/// a trailing batch. Single-threaded so the fault-point sequence is
-/// deterministic — the multi-writer interleavings are test_concurrent's
-/// job; every crash boundary is the same either way. The durable baseline
-/// is written with faults disarmed (a crash before any checkpoint ever
-/// completed has nothing to recover from, by design); `arm_at` then arms
-/// the injector for the workload (0 = stay disarmed and reset the pass
-/// counter, for enumeration). An injected fault abandons the WAL handles,
-/// freezing the on-disk bytes exactly as the crash left them, and returns
-/// completed = false.
+/// A legacy-layout workload: WAL-hooked inserts over per-unit shards (committed
+/// every few appends) on a snapshot.bin base, a fuzzy image driven through the
+/// store's frozen section with inserts and commits between its phases
+/// (per-shard frontier fence, concurrent-protocol rebase) — the image a
+/// pre-manifest deployment left — then the engine's fold adopting that
+/// directory, and a trailing batch. Single-threaded so the fault-point sequence
+/// is deterministic — the multi-writer interleavings are test_concurrent's job;
+/// every crash boundary is the same either way. The durable baseline is written
+/// with faults disarmed (a crash before any checkpoint ever completed has
+/// nothing to recover from, by design); `arm_at` then arms the injector for the
+/// workload (0 = stay disarmed and reset the pass counter, for enumeration). An
+/// injected fault abandons the WAL handles, freezing the on-disk bytes exactly
+/// as the crash left them, and returns completed = false.
 ScenarioResult run_sharded_crash_scenario(const std::string& dir,
                                           std::uint64_t arm_at) {
   fault_disarm();
@@ -177,12 +154,10 @@ ScenarioResult run_sharded_crash_scenario(const std::string& dir,
   SmartStore store(cfg);
   ScenarioResult res = start_scenario(store);
   const auto stream = scenario_stream(13);
-  auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units,
-                                          /*group_commit=*/2);
+  auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units);
   fixtures::save_image(store, snapshot_path(dir), wal->frontier());
   DeltaEngine engine(store, *wal, dir);
-  DurableTracker t{res, *wal, std::vector<std::uint64_t>(cfg.num_units, 0),
-                   std::vector<std::uint64_t>(cfg.num_units, 0)};
+  DurableTracker t{res, *wal};
 
   if (arm_at > 0) {
     fault_arm(arm_at);
@@ -191,28 +166,29 @@ ScenarioResult run_sharded_crash_scenario(const std::string& dir,
   }
   try {
     for (int i = 0; i < 4; ++i) t.insert(store, stream[i]);
+    t.commit();
 
     // Fuzzy image, phase by phase: frontier fence inside the frozen
-    // section, mutations in the gaps, per-shard rebase at the end.
+    // section, mutations and commits in the gaps, per-shard rebase at the
+    // end.
     WalFence fence;
     std::vector<std::size_t> fence_bytes;
     store.begin_checkpoint([&] { fence = wal->frontier(&fence_bytes); });
-    t.snapshot_committed();
     t.insert(store, stream[4]);
     t.insert(store, stream[5]);
+    t.commit();
     save_snapshot_frozen(store, snapshot_path(dir), fence);
     t.insert(store, stream[6]);
     wal->rebase_to(fence, fence_bytes);
-    t.rebased(fence);
+    t.commit();
     store.end_checkpoint();
 
     t.insert(store, stream[7]);
     t.insert(store, stream[8]);
     engine.fold();  // adopts the directory: base-1 + manifest, prunes
-    t.all_durable();
+    t.commit();
     for (int i = 9; i < 13; ++i) t.insert(store, stream[i]);
-    wal->commit_all();
-    t.snapshot_committed();
+    t.commit();
     res.completed = true;
   } catch (const FaultInjected&) {
     wal->abandon();  // the process died: nothing may touch the files now
@@ -234,12 +210,10 @@ ScenarioResult run_delta_crash_scenario(const std::string& dir,
   SmartStore store(cfg);
   ScenarioResult res = start_scenario(store);
   const auto stream = scenario_stream(13);
-  auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units,
-                                          /*group_commit=*/2);
+  auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units);
   DeltaEngine engine(store, *wal, dir);
   engine.fold();  // baseline: ckpt/base-1.bin + an empty-chain manifest
-  DurableTracker t{res, *wal, std::vector<std::uint64_t>(cfg.num_units, 0),
-                   std::vector<std::uint64_t>(cfg.num_units, 0)};
+  DurableTracker t{res, *wal};
 
   if (arm_at > 0) {
     fault_arm(arm_at);
@@ -248,24 +222,25 @@ ScenarioResult run_delta_crash_scenario(const std::string& dir,
   }
   try {
     for (int i = 0; i < 4; ++i) t.insert(store, stream[i]);
+    t.commit();
+    t.insert(store, stream[4]);
     engine.cut();  // cut #1: segment appends + manifest + rebase
-    t.all_durable();
+    t.commit();
 
-    for (int i = 4; i < 7; ++i) t.insert(store, stream[i]);
+    for (int i = 5; i < 8; ++i) t.insert(store, stream[i]);
+    t.commit();
     engine.cut();  // cut #2: the chain grows
-    t.all_durable();
 
-    for (int i = 7; i < 9; ++i) t.insert(store, stream[i]);
+    t.insert(store, stream[8]);
     engine.fold();  // compaction: fresh base, empty chain, prune
-    t.all_durable();
+    t.commit();
 
     for (int i = 9; i < 11; ++i) t.insert(store, stream[i]);
     engine.cut();  // cut #3: first cut onto the folded base
-    t.all_durable();
+    t.commit();
 
     for (int i = 11; i < 13; ++i) t.insert(store, stream[i]);
-    wal->commit_all();
-    t.snapshot_committed();
+    t.commit();
     res.completed = true;
   } catch (const FaultInjected&) {
     wal->abandon();  // the process died: nothing may touch the files now
@@ -286,6 +261,9 @@ void sweep(const std::string& tag, Scenario run, std::uint64_t min_points,
     const std::string dir = temp_dir(tag + "_dry");
     const ScenarioResult dry = run(dir, 0);
     ASSERT_TRUE(dry.completed);
+    ASSERT_GT(dry.multi_record_blocks, 0u)
+        << "the " << tag << " workload should seal several records into "
+                            "one commit block";
     total = fault_points_passed();
     std::filesystem::remove_all(dir);
   }
@@ -308,12 +286,10 @@ void sweep(const std::string& tag, Scenario run, std::uint64_t min_points,
     EXPECT_TRUE(rec.store->check_invariants()) << where;
     const std::set<std::string> got = unit_names(*rec.store);
 
-    // 1. No acknowledged write lost: every record under a shard's durable
-    //    frontier at crash time must survive base + delta chain + tail.
+    // 1. No acknowledged write lost: every record whose commit call
+    //    returned before the crash must survive base + delta chain + tail.
     for (const ShardedInsert& ins : r.inserts) {
-      const bool acked = ins.shard < r.committed.size() &&
-                         r.committed[ins.shard] > ins.idx;
-      if (acked) {
+      if (ins.acked) {
         EXPECT_TRUE(got.count(ins.name))
             << "lost acked write " << ins.name << " (shard " << ins.shard
             << ") at point " << k << " (" << where << ")";
@@ -423,8 +399,7 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   std::unique_ptr<DeltaEngine> engine;
   // (Re)attaches the log and the engine the way Store::Open does.
   auto attach = [&] {
-    wal = std::make_unique<ShardedWal>(dir, store->units().size(),
-                                       /*group_commit=*/3);
+    wal = std::make_unique<ShardedWal>(dir, store->units().size());
     wal->ensure_seq_at_least(store->last_commit_seq() + 1);
     engine = std::make_unique<DeltaEngine>(*store, *wal, dir);
   };
@@ -446,9 +421,12 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
     const double r = rng.uniform();
     if (r < 0.55 && cursor < pool.size()) {
       const FileMetadata& f = pool[cursor++];
-      store->insert_file(f, 0.0, [&](core::UnitId target) {
-        return wal->log_insert(target, f);
+      core::UnitId target = 0;
+      store->insert_file(f, 0.0, [&](core::UnitId u) {
+        target = u;
+        return wal->append_insert(u, f);
       });
+      wal->commit(target);
       oracle.insert(f.name);
       live_names.push_back(f.name);
     } else if (r < 0.72 && !live_names.empty()) {
@@ -458,9 +436,12 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
       live_names.erase(live_names.begin() +
                        static_cast<std::ptrdiff_t>(pick));
       if (oracle.count(name)) {
-        ASSERT_TRUE(store->erase_file(name, [&](core::UnitId located) {
-          return wal->log_remove(located, name);
+        core::UnitId located = 0;
+        ASSERT_TRUE(store->erase_file(name, [&](core::UnitId u) {
+          located = u;
+          return wal->append_remove(u, name);
         })) << name;
+        wal->commit(located);
         oracle.erase(name);
       }
     } else if (r < 0.77) {

@@ -57,7 +57,7 @@ std::set<std::string> store_names(const core::SmartStore& s) {
 /// with the WAL-hooked insert idiom the crash suite uses.
 struct EngineRig {
   explicit EngineRig(const std::filesystem::path& dir_in)
-      : dir(dir_in.string()), wal(dir, cfg().num_units, /*group_commit=*/2) {
+      : dir(dir_in.string()), wal(dir, cfg().num_units) {
     store.build({});
   }
   static core::Config cfg() {
@@ -69,9 +69,12 @@ struct EngineRig {
 
   void insert(std::uint64_t id) {
     const auto f = make_file(id);
-    store.insert_file(f, 0.0, [&](core::UnitId target) {
-      return wal.log_insert(target, f);
+    core::UnitId target = 0;
+    store.insert_file(f, 0.0, [&](core::UnitId u) {
+      target = u;
+      return wal.append_insert(u, f);
     });
+    wal.commit(target);
     inserted.insert(f.name);
   }
 
@@ -411,29 +414,6 @@ TEST(DeltaDb, DumpSnapshotThroughDeltaCutMatchesContents) {
   ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-last-cut-seq", &v));
   EXPECT_EQ(v, std::to_string(seq));
   ASSERT_TRUE(store->Close().ok());
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DeltaDb, AdaptiveGroupCommitReportsEffectiveSize) {
-  const auto dir = temp_dir("db_adaptive");
-  db::Options o = small_options();
-  o.group_commit = 0;  // adaptive
-  auto store = open_or_die(o, dir.string());
-  for (std::uint64_t i = 0; i < 200; ++i)
-    ASSERT_TRUE(store->Put(make_file(i)).ok());
-  std::string v;
-  ASSERT_TRUE(
-      store->GetProperty("smartstore.wal.group-commit.effective", &v));
-  const std::uint64_t effective = std::stoull(v);
-  EXPECT_GE(effective, 1u);
-  EXPECT_LE(effective, persist::ShardedWal::kMaxAdaptiveGroupCommit);
-  ASSERT_TRUE(store->Close().ok());
-
-  // Everything acked must survive reopen regardless of batch sizing.
-  auto reopened = open_or_die(o, dir.string());
-  ASSERT_TRUE(reopened->GetProperty("smartstore.total-files", &v));
-  EXPECT_EQ(v, "200");
-  ASSERT_TRUE(reopened->Close().ok());
   std::filesystem::remove_all(dir);
 }
 

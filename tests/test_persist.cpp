@@ -15,6 +15,7 @@
 
 #include "core/ground_truth.h"
 #include "legacy_layout.h"
+#include "persist/fault.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
@@ -251,11 +252,14 @@ std::string log_path(const std::string& dir) {
   return (std::filesystem::path(dir) / "0.log").string();
 }
 
-/// Logs `stream` as inserts stamped 1, 2, ...
+/// Appends `stream` as inserts stamped first_seq, first_seq + 1, ...,
+/// committing every `block` records; a shorter tail stays pending.
 void log_inserts(WalWriter& wal, const std::vector<FileMetadata>& stream,
-                 std::uint64_t first_seq = 1) {
-  for (std::size_t i = 0; i < stream.size(); ++i)
-    wal.log(insert_record(stream[i], first_seq + i));
+                 std::size_t block, std::uint64_t first_seq = 1) {
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    wal.append(insert_record(stream[i], first_seq + i));
+    if (wal.pending_records() == block) wal.commit();
+  }
 }
 
 TEST(Wal, GroupCommitBatchesRecords) {
@@ -266,9 +270,9 @@ TEST(Wal, GroupCommitBatchesRecords) {
   const auto stream = tr.make_insert_stream(10, 5);
 
   {
-    WalWriter wal(path, /*group_commit=*/4);
-    log_inserts(wal, stream);
-    // 10 records at batch 4: blocks of 4+4 committed, 2 still pending.
+    WalWriter wal(path);
+    log_inserts(wal, stream, /*block=*/4);
+    // 10 records at block 4: blocks of 4+4 committed, 2 still pending.
     EXPECT_EQ(wal.committed_records(), 8u);
     EXPECT_EQ(wal.pending_records(), 2u);
   }  // destructor commits the tail batch
@@ -291,9 +295,10 @@ TEST(Wal, RemoveRecordsRoundTrip) {
   const std::string dir = temp_dir("wal_remove");
   const std::string path = log_path(dir);
   {
-    WalWriter wal(path, 2);
-    wal.log(remove_record("some/file.txt", 1));
-    wal.log(remove_record("other/file.bin", 2));
+    WalWriter wal(path);
+    wal.append(remove_record("some/file.txt", 1));
+    wal.append(remove_record("other/file.bin", 2));
+    wal.commit();
   }
   const WalScan scan = scan_wal(path);
   ASSERT_EQ(scan.records.size(), 2u);
@@ -310,8 +315,8 @@ TEST(Wal, TornTailRecoversToLastCommitBoundary) {
   const auto stream = tr.make_insert_stream(12, 5);
 
   {
-    WalWriter wal(path, /*group_commit=*/4);
-    log_inserts(wal, stream);
+    WalWriter wal(path);
+    log_inserts(wal, stream, /*block=*/4);
   }  // 3 complete blocks of 4
 
   // Crash mid-append: chop into the last block's payload.
@@ -321,14 +326,14 @@ TEST(Wal, TornTailRecoversToLastCommitBoundary) {
   const WalScan scan = scan_wal(path);
   EXPECT_TRUE(scan.torn_tail);
   EXPECT_EQ(scan.blocks, 2u);
-  EXPECT_EQ(scan.records.size(), 8u);  // the last group commit is the cutoff
+  EXPECT_EQ(scan.records.size(), 8u);  // the last commit is the cutoff
 
   // Reopening for append truncates the tear; new records land after the
   // valid prefix and the log scans clean again.
   {
-    WalWriter wal(path, 4);
+    WalWriter wal(path);
     EXPECT_EQ(wal.committed_records(), 8u);
-    wal.log(insert_record(stream[8], 9));
+    wal.append(insert_record(stream[8], 9));
     wal.commit();
   }
   const WalScan rescan = scan_wal(path);
@@ -343,8 +348,8 @@ TEST(Wal, CorruptedBlockChecksumStopsScan) {
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(8, 5);
   {
-    WalWriter wal(path, 4);
-    log_inserts(wal, stream);
+    WalWriter wal(path);
+    log_inserts(wal, stream, /*block=*/4);
   }
   auto bytes = util::read_file_bytes(path);
   bytes[bytes.size() - 10] ^= 0x01;  // corrupt the second block's payload
@@ -393,8 +398,8 @@ TEST(Wal, RebaseDropsFencedPrefixKeepsTailUnderNextGeneration) {
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(7, 5);
 
-  WalWriter wal(path, /*group_commit=*/2);
-  log_inserts(wal, stream);
+  WalWriter wal(path);
+  log_inserts(wal, stream, /*block=*/2);
   wal.commit();
   const std::uint64_t gen = wal.generation();
   ASSERT_EQ(wal.committed_records(), 7u);
@@ -410,9 +415,33 @@ TEST(Wal, RebaseDropsFencedPrefixKeepsTailUnderNextGeneration) {
     EXPECT_EQ(scan.records[i].file.name, stream[4 + i].name);
 
   // Appends keep working through the swapped handle.
-  wal.log(remove_record(stream[0].name, 8));
+  wal.append(remove_record(stream[0].name, 8));
   wal.commit();
   EXPECT_EQ(scan_wal(path).records.size(), 4u);
+}
+
+TEST(Wal, CommitBehindADeadHandleThrows) {
+  // A commit killed mid-block leaves its records pending behind a dead
+  // handle. A later commit — say, a second writer on the same shard whose
+  // record joined that batch — must fail instead of reporting them
+  // durable.
+  const std::string dir = temp_dir("wal_dead");
+  const std::string path = log_path(dir);
+  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
+      trace::msn_profile(), 1, 42, /*downscale=*/50);
+  const auto stream = tr.make_insert_stream(2, 5);
+
+  WalWriter wal(path);
+  wal.append(insert_record(stream[0], 1));
+  wal.append(insert_record(stream[1], 2));
+  fault_arm(1);  // "wal:commit:torn-block": half the block reaches disk
+  EXPECT_THROW(wal.commit(), FaultInjected);
+  fault_disarm();
+  EXPECT_THROW(wal.commit(), PersistError);
+
+  const WalScan scan = scan_wal(path);
+  EXPECT_TRUE(scan.torn_tail);
+  EXPECT_EQ(scan.records.size(), 0u);
 }
 
 TEST(Wal, LegacyLogsAreReadOnly) {
@@ -439,7 +468,7 @@ TEST(Wal, LegacyLogsAreReadOnly) {
     ASSERT_EQ(scan.records.size(), 3u);
     EXPECT_EQ(scan.records[2].file.name, stream[2].name);
 
-    EXPECT_THROW(WalWriter(path, 1), PersistError);
+    EXPECT_THROW(WalWriter{path}, PersistError);
     EXPECT_EQ(util::read_file_bytes(path), before);  // untouched
   }
 }
@@ -545,10 +574,10 @@ TEST(Recovery, TornShardLogRecoversToCommitBoundary) {
   const std::string shard0 = ShardedWal::shard_path(dir, 0);
   std::filesystem::create_directories(ShardedWal::shard_dir(dir));
   {
-    WalWriter wal(shard0, /*group_commit=*/4);
-    log_inserts(wal, stream, store.last_commit_seq() + 1);
+    WalWriter wal(shard0);
+    log_inserts(wal, stream, /*block=*/4, store.last_commit_seq() + 1);
   }
-  // Tear into the second block: only the first group commit must survive.
+  // Tear into the second block: only the first commit must survive.
   std::filesystem::resize_file(shard0, std::filesystem::file_size(shard0) - 9);
 
   const RecoveryResult rec = recover(dir);
