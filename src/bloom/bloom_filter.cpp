@@ -1,8 +1,10 @@
 #include "bloom/bloom_filter.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "bloom/md5.h"
 
@@ -83,6 +85,51 @@ double BloomFilter::fill_ratio() const {
 
 double BloomFilter::estimated_fpp() const {
   return std::pow(fill_ratio(), static_cast<double>(k_));
+}
+
+void ProbeCache::fill(std::size_t bits, unsigned k) {
+  bits_ = bits;
+  pos_.resize(k);
+  for (unsigned i = 0; i < k; ++i)
+    pos_[i] =
+        static_cast<std::uint32_t>(bloom_probe_index(i, h_.w.data(), bits));
+}
+
+SparseBloomFilter::SparseBloomFilter(std::size_t bits, unsigned num_hashes)
+    : bits_(static_cast<std::uint32_t>((bits + 63) / 64 * 64)),
+      k_(num_hashes) {
+  assert(bits > 0 && num_hashes > 0);
+  assert((bits + 63) / 64 * 64 <= std::numeric_limits<std::uint32_t>::max());
+}
+
+SparseBloomFilter SparseBloomFilter::from_dense(const BloomFilter& dense) {
+  SparseBloomFilter sf(dense.bit_count(), dense.num_hashes());
+  const auto& words = dense.words();
+  sf.set_.reserve(dense.popcount());
+  for (std::size_t wi = 0; wi < words.size(); ++wi) {
+    for (std::uint64_t w = words[wi]; w != 0; w &= w - 1) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(w));
+      sf.set_.push_back(static_cast<std::uint32_t>(wi * 64 + bit));
+      sf.folded_ |= 1ULL << bit;
+    }
+  }
+  return sf;
+}
+
+BloomFilter SparseBloomFilter::to_dense() const {
+  std::vector<std::uint64_t> words(bits_ / 64, 0);
+  for (const std::uint32_t idx : set_) words[idx / 64] |= 1ULL << (idx % 64);
+  return BloomFilter::from_words(bits_, k_, std::move(words));
+}
+
+void SparseBloomFilter::insert(const ItemHash& h) {
+  for (unsigned i = 0; i < k_; ++i) {
+    const auto idx =
+        static_cast<std::uint32_t>(bloom_probe_index(i, h.w.data(), bits_));
+    folded_ |= 1ULL << (idx % 64);
+    const auto it = std::lower_bound(set_.begin(), set_.end(), idx);
+    if (it == set_.end() || *it != idx) set_.insert(it, idx);
+  }
 }
 
 CountingBloomFilter::CountingBloomFilter(std::size_t bits, unsigned num_hashes)

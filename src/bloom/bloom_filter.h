@@ -8,9 +8,11 @@
 // filters, so a query can walk down the tree following positive hits.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -84,6 +86,77 @@ class BloomFilter {
   std::size_t bits_;
   unsigned k_;
   std::vector<std::uint64_t> words_;
+};
+
+/// One item's probe positions, recomputed only when the filter geometry
+/// changes: a query that tests one item against many filters of one
+/// geometry (a group's version filters) pays the k modulo reductions once
+/// instead of once per filter.
+class ProbeCache {
+ public:
+  explicit ProbeCache(const ItemHash& h) : h_(h) {}
+
+  /// The item's positions in a filter of `bits` bits with `k` probes.
+  std::span<const std::uint32_t> positions(std::size_t bits, unsigned k) {
+    if (bits != bits_ || k != pos_.size()) fill(bits, k);
+    return pos_;
+  }
+
+ private:
+  void fill(std::size_t bits, unsigned k);
+
+  ItemHash h_;
+  std::size_t bits_ = 0;
+  std::vector<std::uint32_t> pos_;
+};
+
+/// A Bloom filter stored as its sorted set-bit positions. A version delta's
+/// filter (Section 4.4) has the full filter geometry but records only a few
+/// inserts — at most k x version_ratio set bits out of hundreds of thousands
+/// at auto-sized geometries — so the dense words would be almost all zero.
+/// Answers exactly as a dense BloomFilter holding the same bits; to_dense()
+/// and from_dense() convert between the two (the snapshot codec writes the
+/// dense words).
+class SparseBloomFilter {
+ public:
+  /// Default geometry: the paper's 1024 bits, k = 7.
+  SparseBloomFilter() : SparseBloomFilter(1024, 7) {}
+
+  /// `bits` is rounded up to a multiple of 64, as in BloomFilter.
+  explicit SparseBloomFilter(std::size_t bits, unsigned num_hashes = 7);
+
+  static SparseBloomFilter from_dense(const BloomFilter& dense);
+  BloomFilter to_dense() const;
+
+  void insert(const ItemHash& h);
+  /// Membership of the item whose probe positions `probes` caches.
+  bool may_contain(ProbeCache& probes) const {
+    const auto pos = probes.positions(bits_, k_);
+    // Every folded bit first: most misses end here, without a search.
+    for (const std::uint32_t idx : pos)
+      if ((folded_ & (1ULL << (idx % 64))) == 0) return false;
+    for (const std::uint32_t idx : pos)
+      if (!std::binary_search(set_.begin(), set_.end(), idx)) return false;
+    return true;
+  }
+
+  std::size_t bit_count() const { return bits_; }
+  unsigned num_hashes() const { return k_; }
+  /// Footprint of the equivalent dense BloomFilter (what a snapshot writes
+  /// and what the paper models a version filter as).
+  std::size_t dense_byte_size() const {
+    return sizeof(BloomFilter) + bits_ / 64 * sizeof(std::uint64_t);
+  }
+
+  bool operator==(const SparseBloomFilter&) const = default;
+
+ private:
+  std::uint32_t bits_;
+  std::uint32_t k_;
+  /// Every set position folded onto one word (bit `idx % 64`): a probe whose
+  /// folded bit is clear is a definite miss without searching `set_`.
+  std::uint64_t folded_ = 0;
+  std::vector<std::uint32_t> set_;  ///< set-bit positions, ascending
 };
 
 /// Counting Bloom filter: supports deletion and exports a plain BloomFilter

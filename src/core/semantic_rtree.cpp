@@ -243,13 +243,8 @@ void SemanticRTree::build(const std::vector<StorageUnit>& units,
 
 void SemanticRTree::on_file_inserted(UnitId unit, const la::Vector& raw,
                                      const la::Vector& std_coords,
-                                     const std::string& name,
-                                     const StripedMutexPool* locks,
-                                     const bloom::ItemHash* precomputed) {
-  // Hash once, outside every stripe: each ancestor's filter insert is then
-  // pure bit-sets inside its critical section.
-  const bloom::ItemHash name_hash =
-      precomputed ? *precomputed : bloom::hash_item(name);
+                                     const bloom::ItemHash& name_hash,
+                                     const StripedMutexPool* locks) {
   std::size_t cur = unit_group_[unit];
   while (cur != kInvalidIndex) {
     IndexUnit& n = nodes_[cur];

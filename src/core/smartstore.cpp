@@ -234,7 +234,8 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
     for (std::size_t g = 0; g < place.groups.size(); ++g) {
       const UnitId u = g % cfg_.num_units;
       for (std::size_t idx : place.groups[g])
-        units_[u].add_file(files[idx], std_coords(files[idx]));
+        units_[u].add_file(files[idx], std_coords(files[idx]),
+                           bloom::hash_item(files[idx].name));
     }
   }
   total_files_ = files.size();
@@ -265,7 +266,7 @@ void SmartStore::init_sync_state() {
     gs.replica.box = n.box;
     gs.replica.name_filter = n.name_filter;
     gs.pending.added_names =
-        bloom::BloomFilter(bloom_bits_, cfg_.bloom_hashes);
+        bloom::SparseBloomFilter(bloom_bits_, cfg_.bloom_hashes);
     gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
     sync_.emplace(g, std::move(gs));
   }
@@ -291,7 +292,7 @@ void SmartStore::refresh_sync_groups() {
     gs.replica.box = n.box;
     gs.replica.name_filter = n.name_filter;
     gs.pending.added_names =
-        bloom::BloomFilter(bloom_bits_, cfg_.bloom_hashes);
+        bloom::SparseBloomFilter(bloom_bits_, cfg_.bloom_hashes);
     gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
     sync_.emplace(g, std::move(gs));
   }
@@ -400,11 +401,11 @@ void SmartStore::unit_range_scan(const StorageUnit& u,
                                  const std::vector<std::size_t>& dim_idx,
                                  const la::Vector& lo, const la::Vector& hi,
                                  std::vector<FileId>& out) const {
-  const auto& coords = u.std_coords();
-  for (std::size_t i = 0; i < coords.size(); ++i) {
+  for (std::size_t i = 0; i < u.file_count(); ++i) {
+    const auto coords = u.std_coords(i);
     bool ok = true;
     for (std::size_t j = 0; j < dim_idx.size(); ++j) {
-      const double v = coords[i][dim_idx[j]];
+      const double v = coords[dim_idx[j]];
       if (v < lo[j] || v > hi[j]) {
         ok = false;
         break;
@@ -419,11 +420,11 @@ void SmartStore::unit_topk_scan(
     const la::Vector& point, std::size_t k,
     std::vector<std::pair<double, FileId>>& heap) const {
   // `heap` is a max-heap of the best k candidates found so far.
-  const auto& coords = u.std_coords();
-  for (std::size_t i = 0; i < coords.size(); ++i) {
+  for (std::size_t i = 0; i < u.file_count(); ++i) {
+    const auto coords = u.std_coords(i);
     double dist = 0.0;
     for (std::size_t j = 0; j < dim_idx.size(); ++j) {
-      const double delta = coords[i][dim_idx[j]] - point[j];
+      const double delta = coords[dim_idx[j]] - point[j];
       dist += delta * delta;
     }
     if (heap.size() < k) {
@@ -545,7 +546,7 @@ void SmartStore::seal_version(std::size_t g, double now, sim::Session* session) 
   gs.replica.versions.push_back(std::move(gs.pending));
   gs.pending = VersionDelta{};
   gs.pending.added_names =
-      bloom::BloomFilter(bloom_bits_, cfg_.bloom_hashes);
+      bloom::SparseBloomFilter(bloom_bits_, cfg_.bloom_hashes);
   gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
 
   // Multicast the sealed version to every other storage unit.
@@ -595,7 +596,7 @@ void SmartStore::full_sync_group(std::size_t g, sim::Session* session) {
     gs.replica.versions.clear();
     gs.pending = VersionDelta{};
     gs.pending.added_names =
-        bloom::BloomFilter(bloom_bits_, cfg_.bloom_hashes);
+        bloom::SparseBloomFilter(bloom_bits_, cfg_.bloom_hashes);
     gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
     gs.changes_since_full_sync = 0;
   }
@@ -721,16 +722,16 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
                                   ? forced_seq
                                   : commit_stamp(logged ? logged(target) : 0);
     cow_unit(target);
-    units_[target].add_file(f, std, seq);
+    units_[target].add_file(f, std, name_hash, seq);
     units_[target].prune_tombstones(gc_watermark());
     if (forced_seq == kAssignSeq) mark_unit_dirty(target, seq);
   }
   // Ancestor summaries widen one stripe at a time (child before parent);
   // readers meanwhile see a box/filter that is at worst transiently
   // narrower up the path, the same staleness replicas already exhibit.
-  tree_.on_file_inserted(target, raw, std, f.name, &summary_stripes_, &name_hash);
+  tree_.on_file_inserted(target, raw, std, name_hash, &summary_stripes_);
   for (auto& v : variants_)
-    v.tree.on_file_inserted(target, raw, std, f.name, &summary_stripes_, &name_hash);
+    v.tree.on_file_inserted(target, raw, std, name_hash, &summary_stripes_);
   total_files_.fetch_add(1, std::memory_order_relaxed);
 
   bool want_full_sync;
@@ -758,27 +759,31 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
 std::optional<QueryStats> SmartStore::delete_file(const std::string& name,
                                                   double arrival) {
   util::ReaderLock shared(structure_mu_);
-  PointResult located = point_query_impl({name}, Routing::kOffline, arrival);
+  const bloom::ItemHash name_hash = bloom::hash_item(name);
+  PointResult located =
+      point_query_impl({name}, Routing::kOffline, arrival, name_hash);
   if (!located.found) return std::nullopt;
 
   // The locate and the removal are not atomic: a concurrent delete of the
   // same name can win in between, in which case this one reports "absent".
-  if (!remove_located(located.unit, located.id,
+  if (!remove_located(located.unit, located.id, name, name_hash,
                       located.stats.latency_s + arrival, nullptr, {}))
     return std::nullopt;
   return located.stats;
 }
 
-bool SmartStore::remove_located(UnitId u, FileId id, double now,
+bool SmartStore::remove_located(UnitId u, FileId id, const std::string& name,
+                                const bloom::ItemHash& name_hash, double now,
                                 sim::Session* session, const WalHook& logged) {
   epoch_.fetch_add(1, std::memory_order_relaxed);
   la::Vector raw;
   {
     const util::MutexLock guard(unit_mutex(u));
-    if (!units_[u].find_by_id(id)) return false;  // lost a delete race
+    const metadata::FileMetadata* f = units_[u].find_by_id(id);
+    if (!f || f->name != name) return false;  // lost a delete race
     const std::uint64_t seq = commit_stamp(logged ? logged(u) : 0);
     cow_unit(u);
-    auto removed = units_[u].remove_file(id, seq);
+    auto removed = units_[u].remove_file(id, name_hash, seq);
     assert(removed.has_value());
     raw = removed->full_vector();
     units_[u].prune_tombstones(gc_watermark());
@@ -807,6 +812,7 @@ bool SmartStore::erase_file(const std::string& name, const WalHook& logged) {
 
 bool SmartStore::erase_file_impl(const std::string& name,
                                  const WalHook& logged) {
+  const bloom::ItemHash name_hash = bloom::hash_item(name);
   for (UnitId u = 0; u < units_.size(); ++u) {
     if (!unit_active_[u]) continue;
     FileId id = 0;
@@ -822,7 +828,8 @@ bool SmartStore::erase_file_impl(const std::string& name,
     // The unit lock was dropped between locate and removal; remove_located
     // re-checks by id and reports a lost race, in which case the scan
     // continues (the name might also exist on a later unit).
-    if (remove_located(u, id, 0.0, nullptr, logged)) return true;
+    if (remove_located(u, id, name, name_hash, 0.0, nullptr, logged))
+      return true;
   }
   return false;
 }
@@ -832,14 +839,13 @@ bool SmartStore::erase_file_impl(const std::string& name,
 PointResult SmartStore::point_query(const metadata::PointQuery& q,
                                     Routing routing, double arrival) {
   util::ReaderLock shared(structure_mu_);
-  return point_query_impl(q, routing, arrival);
+  return point_query_impl(q, routing, arrival, bloom::hash_item(q.filename));
 }
 
 PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
-                                         Routing routing, double arrival) {
+                                         Routing routing, double arrival,
+                                         const bloom::ItemHash& qhash) {
   PointResult res;
-  // One digest for every filter this query will consult.
-  const bloom::ItemHash qhash = bloom::hash_item(q.filename);
   sim::Session session = cluster_->start_session(random_home(), arrival);
   const UnitId home = session.location();
 
@@ -955,7 +961,7 @@ PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
       const GroupSync& gs = sync_.at(g);
       version_cost += static_cast<double>(gs.replica.versions.size()) *
                       cfg_.cost.per_bloom_check_s;
-      if (gs.replica.name_may_contain(q.filename, cfg_.versioning_enabled))
+      if (gs.replica.name_may_contain(qhash, cfg_.versioning_enabled))
         candidates.push_back(g);
     }
     session.visit(static_cast<double>(tree_.groups().size()) *
@@ -1316,7 +1322,7 @@ void SmartStore::remove_storage_unit(UnitId u, const StructuralHook& logged) {
   std::vector<FileMetadata> displaced = units_[u].files();
   std::vector<std::uint64_t> displaced_seqs = units_[u].added_seqs();
   for (const auto& f : displaced) {
-    auto removed = units_[u].remove_file(f.id);
+    auto removed = units_[u].remove_file(f.id, bloom::hash_item(f.name));
     tree_.on_file_removed(u, f.full_vector());
     for (auto& v : variants_) v.tree.on_file_removed(u, f.full_vector());
     total_files_.fetch_sub(1, std::memory_order_relaxed);
@@ -1626,7 +1632,7 @@ RangeResult SmartStore::snapshot_range_impl(const metadata::RangeQuery& q,
   la::Vector lo, hi;
   standardize_range(q, dim_idx, lo, hi);
 
-  auto in_box = [&](const la::Vector& c) {
+  auto in_box = [&](std::span<const double> c) {
     for (std::size_t j = 0; j < dim_idx.size(); ++j) {
       const double v = c[dim_idx[j]];
       if (v < lo[j] || v > hi[j]) return false;
@@ -1637,11 +1643,10 @@ RangeResult SmartStore::snapshot_range_impl(const metadata::RangeQuery& q,
   for (UnitId u = 0; u < units_.size(); ++u) {
     const util::MutexLock guard(unit_mutex(u));
     const StorageUnit& unit = units_[u];
-    const auto& coords = unit.std_coords();
     const auto& seqs = unit.added_seqs();
-    for (std::size_t i = 0; i < coords.size(); ++i) {
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
       if (!live_visible(seqs[i], seq)) continue;
-      if (in_box(coords[i])) res.ids.push_back(unit.files()[i].id);
+      if (in_box(unit.std_coords(i))) res.ids.push_back(unit.files()[i].id);
     }
     for (const auto& t : unit.tombstones()) {
       if (!dead_visible(t, seq)) continue;
@@ -1666,7 +1671,7 @@ TopKResult SmartStore::snapshot_topk_impl(const metadata::TopKQuery& q,
   std::vector<std::size_t> dim_idx;
   const la::Vector point = standardize_point(q, dim_idx);
 
-  auto dist2 = [&](const la::Vector& c) {
+  auto dist2 = [&](std::span<const double> c) {
     double d = 0.0;
     for (std::size_t j = 0; j < dim_idx.size(); ++j) {
       const double delta = c[dim_idx[j]] - point[j];
@@ -1679,11 +1684,10 @@ TopKResult SmartStore::snapshot_topk_impl(const metadata::TopKQuery& q,
   for (UnitId u = 0; u < units_.size(); ++u) {
     const util::MutexLock guard(unit_mutex(u));
     const StorageUnit& unit = units_[u];
-    const auto& coords = unit.std_coords();
     const auto& seqs = unit.added_seqs();
-    for (std::size_t i = 0; i < coords.size(); ++i) {
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
       if (!live_visible(seqs[i], seq)) continue;
-      all.emplace_back(dist2(coords[i]), unit.files()[i].id);
+      all.emplace_back(dist2(unit.std_coords(i)), unit.files()[i].id);
     }
     for (const auto& t : unit.tombstones()) {
       if (!dead_visible(t, seq)) continue;

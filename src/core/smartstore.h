@@ -481,10 +481,12 @@ class SmartStore {
   /// serializer's view of the live vector). Caller holds the exclusive
   /// structure lock, which is why no unit locks are needed here.
   void cow_all_units() SS_REQUIRES(structure_mu_);
-  /// Shared removal bookkeeping once a file has been located (unit, id).
-  /// Re-checks existence under the unit lock (a concurrent delete may
-  /// have won); returns whether the removal happened.
-  bool remove_located(UnitId u, metadata::FileId id, double now,
+  /// Shared removal bookkeeping once a file has been located (unit, id)
+  /// by its name, whose digest is `name_hash`. Re-checks under the unit
+  /// lock that the id still names that file (a concurrent delete may have
+  /// won); returns whether the removal happened.
+  bool remove_located(UnitId u, metadata::FileId id, const std::string& name,
+                      const bloom::ItemHash& name_hash, double now,
                       sim::Session* session, const WalHook& logged)
       SS_REQUIRES_SHARED(structure_mu_);
 
@@ -506,8 +508,9 @@ class SmartStore {
       SS_REQUIRES_SHARED(structure_mu_);
   bool erase_file_impl(const std::string& name, const WalHook& logged)
       SS_REQUIRES_SHARED(structure_mu_);
+  /// `qhash` is the digest of q.filename, shared by every filter consulted.
   PointResult point_query_impl(const metadata::PointQuery& q, Routing routing,
-                               double arrival)
+                               double arrival, const bloom::ItemHash& qhash)
       SS_REQUIRES_SHARED(structure_mu_);
   RangeResult range_query_impl(const metadata::RangeQuery& q, Routing routing,
                                double arrival)

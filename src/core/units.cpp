@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace smartstore::core {
 
@@ -9,30 +10,78 @@ using metadata::FileId;
 using metadata::FileMetadata;
 using metadata::kNumAttrs;
 
+namespace {
+
+std::uint32_t name_key(const std::string& name) {
+  return static_cast<std::uint32_t>(std::hash<std::string>{}(name));
+}
+
+std::uint32_t id_key(FileId id) {
+  // splitmix64 finalizer: sequential ids spread over the whole table.
+  std::uint64_t z = id + 0x9E3779B97F4A7C15ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return static_cast<std::uint32_t>((z ^ (z >> 31)) >> 32);
+}
+
+}  // namespace
+
+void PositionIndex::place(Slot slot) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t s = slot.hash & mask;
+  while (slots_[s].pos != kFree) s = (s + 1) & mask;
+  slots_[s] = slot;
+}
+
+void PositionIndex::erase_slot(std::size_t s) {
+  // Backward shift: pull later entries of the probe run into the hole when
+  // the hole lies between their home slot and where they sit.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (s + 1) & mask; slots_[j].pos != kFree;
+       j = (j + 1) & mask) {
+    const std::size_t home = slots_[j].hash & mask;
+    if (((j - home) & mask) >= ((j - s) & mask)) {
+      slots_[s] = slots_[j];
+      s = j;
+    }
+  }
+  slots_[s].pos = kFree;
+}
+
+void PositionIndex::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{kFree, 0});
+  for (const Slot& slot : old)
+    if (slot.pos != kFree) place(slot);
+}
+
 StorageUnit::StorageUnit(UnitId id, std::size_t bloom_bits,
                          unsigned bloom_hashes)
     : id_(id), name_filter_(bloom_bits, bloom_hashes),
       attr_sums_(kNumAttrs, 0.0) {}
 
 void StorageUnit::add_file(const FileMetadata& f, const la::Vector& std_coords,
+                           const bloom::ItemHash& name_hash,
                            std::uint64_t added_seq) {
   assert(std_coords.size() == kNumAttrs);
-  by_name_[f.name] = files_.size();
-  by_id_[f.id] = files_.size();
+  const std::size_t pos = files_.size();
+  assert(pos < static_cast<std::uint32_t>(-1));
   files_.push_back(f);
-  std_coords_.push_back(std_coords);
+  coords_.insert(coords_.end(), std_coords.begin(), std_coords.end());
   added_seqs_.push_back(added_seq);
-  name_filter_.insert(f.name);
+  const FileMetadata& added = files_.back();
+  by_name_.assign(name_key(added.name), pos, name_is(added.name));
+  by_id_.assign(id_key(added.id), pos, id_is(added.id));
+  name_filter_.insert(name_hash);
   box_.expand(std_coords);
   for (std::size_t d = 0; d < kNumAttrs; ++d) attr_sums_[d] += f.attrs[d];
 }
 
-std::optional<FileMetadata> StorageUnit::remove_file(FileId id,
-                                                     std::uint64_t
-                                                         deleted_seq) {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) return std::nullopt;
-  const std::size_t pos = it->second;
+std::optional<FileMetadata> StorageUnit::remove_file(
+    FileId id, const bloom::ItemHash& name_hash, std::uint64_t deleted_seq) {
+  const auto found = by_id_.find(id_key(id), id_is(id));
+  if (!found) return std::nullopt;
+  const std::size_t pos = *found;
   FileMetadata removed = files_[pos];
 
   if (deleted_seq > 0) {
@@ -40,29 +89,33 @@ std::optional<FileMetadata> StorageUnit::remove_file(FileId id,
     // record. The caller prunes against the GC watermark.
     TombstoneRecord t;
     t.file = removed;
-    t.std_coords = std_coords_[pos];
+    const auto c = std_coords(pos);
+    t.std_coords.assign(c.begin(), c.end());
     t.added_seq = added_seqs_[pos];
     t.deleted_seq = deleted_seq;
     tombstones_.push_back(std::move(t));
   }
 
-  name_filter_.remove(removed.name);
-  by_name_.erase(removed.name);
-  by_id_.erase(it);
+  name_filter_.remove(name_hash);
+  by_name_.erase(name_key(removed.name), name_is(removed.name));
+  by_id_.erase(id_key(id), id_is(id));
   for (std::size_t d = 0; d < kNumAttrs; ++d)
     attr_sums_[d] -= removed.attrs[d];
 
-  // Swap-remove; fix the indexes of the moved record.
+  // Swap-remove: re-point the last record's keys at `pos` (while it still
+  // sits at `last`, where the index entries find it), then move it there.
   const std::size_t last = files_.size() - 1;
   if (pos != last) {
+    const FileMetadata& moved = files_[last];
+    by_name_.assign(name_key(moved.name), pos, name_is(moved.name));
+    by_id_.assign(id_key(moved.id), pos, id_is(moved.id));
     files_[pos] = std::move(files_[last]);
-    std_coords_[pos] = std::move(std_coords_[last]);
+    std::copy_n(coords_.begin() + last * kNumAttrs, kNumAttrs,
+                coords_.begin() + pos * kNumAttrs);
     added_seqs_[pos] = added_seqs_[last];
-    by_name_[files_[pos].name] = pos;
-    by_id_[files_[pos].id] = pos;
   }
   files_.pop_back();
-  std_coords_.pop_back();
+  coords_.resize(coords_.size() - kNumAttrs);
   added_seqs_.pop_back();
   return removed;
 }
@@ -80,13 +133,13 @@ std::size_t StorageUnit::prune_tombstones(std::uint64_t watermark) {
 }
 
 const FileMetadata* StorageUnit::find_by_name(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : &files_[it->second];
+  const auto pos = by_name_.find(name_key(name), name_is(name));
+  return pos ? &files_[*pos] : nullptr;
 }
 
 const FileMetadata* StorageUnit::find_by_id(FileId id) const {
-  auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : &files_[it->second];
+  const auto pos = by_id_.find(id_key(id), id_is(id));
+  return pos ? &files_[*pos] : nullptr;
 }
 
 la::Vector StorageUnit::centroid_raw() const {
@@ -101,10 +154,8 @@ la::Vector StorageUnit::centroid_raw() const {
 std::size_t StorageUnit::byte_size() const {
   std::size_t b = sizeof(*this);
   for (const auto& f : files_) b += f.byte_size();
-  b += std_coords_.size() * (kNumAttrs * sizeof(double) + sizeof(la::Vector));
-  // Hash indexes: bucket array + one node per entry (approximation).
-  b += by_name_.size() * (sizeof(void*) * 2 + 48);
-  b += by_id_.size() * (sizeof(void*) * 2 + 24);
+  b += coords_.size() * sizeof(double);
+  b += by_name_.byte_size() + by_id_.byte_size();
   b += added_seqs_.size() * sizeof(std::uint64_t);
   for (const auto& t : tombstones_) {
     b += sizeof(TombstoneRecord) + t.file.byte_size() +
@@ -116,7 +167,10 @@ std::size_t StorageUnit::byte_size() const {
 }
 
 std::size_t VersionDelta::byte_size() const {
-  return sizeof(*this) + added_box.byte_size() + added_names.byte_size() +
+  // Counts the name filter in its dense encoding — the form a snapshot
+  // writes and the paper models a version as — not the sparse one held.
+  return sizeof(*this) - sizeof(added_names) + sizeof(bloom::BloomFilter) +
+         added_box.byte_size() + added_names.dense_byte_size() +
          added_attr_sum.capacity() * sizeof(double) +
          deleted.capacity() * sizeof(metadata::FileId);
 }
@@ -143,16 +197,17 @@ la::Vector GroupReplica::effective_centroid(bool with_versions) const {
   return sum;
 }
 
-bool GroupReplica::name_may_contain(const std::string& name,
+bool GroupReplica::name_may_contain(const bloom::ItemHash& h,
                                     bool with_versions) const {
   if (with_versions) {
-    // Rolling backward: newest version first, so the most recent insert or
-    // delete wins (Section 4.4).
+    // Rolling backward: newest version first (Section 4.4). The versions
+    // share one filter geometry, so the probe positions are computed once.
+    bloom::ProbeCache probes(h);
     for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
-      if (it->added_names.may_contain(name)) return true;
+      if (it->added_names.may_contain(probes)) return true;
     }
   }
-  return name_filter.may_contain(name);
+  return name_filter.may_contain(h);
 }
 
 std::size_t GroupReplica::byte_size() const {

@@ -5,6 +5,12 @@
 // counting Bloom filter for point queries, the unit's MBR in standardized
 // attribute space and its raw-attribute centroid (its semantic vector).
 //
+// Record layout: position i of a unit is files()[i], its standardized
+// coordinates std_coords(i) (kNumAttrs doubles in one flat array shared by
+// every record) and added_seqs()[i]. The name and id indexes are
+// open-addressing tables of 8-byte slots (position + 32-bit key hash); the
+// keys themselves live only in files().
+//
 // GroupReplica is the unit of the off-line pre-processing scheme (Section
 // 3.4): every storage unit keeps replicas of the *first-level index
 // units'* summaries and routes queries by checking them locally. Replicas
@@ -18,8 +24,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
@@ -52,6 +58,71 @@ struct TombstoneRecord {
   std::uint64_t deleted_seq = 0;
 };
 
+/// Open-addressing index from a key to a record position. Slots hold the
+/// position and a 32-bit hash of the key, not the key: the caller's
+/// `eq(pos)` decides whether the record at a candidate position carries the
+/// key. Linear probing over a power-of-two table, backward-shift deletion
+/// (no tombstones), at most 3/4 full.
+class PositionIndex {
+ public:
+  /// Position of the entry whose key matches, if any.
+  template <class Eq>
+  std::optional<std::size_t> find(std::uint32_t hash, Eq eq) const {
+    const std::size_t s = find_slot(hash, eq);
+    if (s == kNone) return std::nullopt;
+    return slots_[s].pos;
+  }
+
+  /// Points the key at `pos`: overwrites the matching entry, else adds one.
+  template <class Eq>
+  void assign(std::uint32_t hash, std::size_t pos, Eq eq) {
+    const std::size_t s = find_slot(hash, eq);
+    if (s != kNone) {
+      slots_[s].pos = static_cast<std::uint32_t>(pos);
+      return;
+    }
+    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+    place({static_cast<std::uint32_t>(pos), hash});
+    ++size_;
+  }
+
+  /// Drops the matching entry, if any.
+  template <class Eq>
+  void erase(std::uint32_t hash, Eq eq) {
+    const std::size_t s = find_slot(hash, eq);
+    if (s == kNone) return;
+    erase_slot(s);
+    --size_;
+  }
+
+  std::size_t byte_size() const { return slots_.capacity() * sizeof(Slot); }
+
+ private:
+  struct Slot {
+    std::uint32_t pos;
+    std::uint32_t hash;
+  };
+  static constexpr std::uint32_t kFree = static_cast<std::uint32_t>(-1);
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  template <class Eq>
+  std::size_t find_slot(std::uint32_t hash, Eq& eq) const {
+    if (slots_.empty()) return kNone;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
+      const Slot& slot = slots_[s];
+      if (slot.pos == kFree) return kNone;
+      if (slot.hash == hash && eq(slot.pos)) return s;
+    }
+  }
+  void place(Slot slot);
+  void erase_slot(std::size_t s);
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
 /// One metadata server (semantic R-tree leaf).
 class StorageUnit {
  public:
@@ -62,28 +133,34 @@ class StorageUnit {
   bool empty() const { return files_.empty(); }
 
   /// Adds a record; `std_coords` is the file's standardized full-D vector
-  /// (the geometry every MBR in the store is expressed in). `added_seq` is
-  /// the commit sequence stamped on the mutation (0 = pre-history: bulk
-  /// builds and legacy snapshots, visible to every snapshot).
+  /// (the geometry every MBR in the store is expressed in) and `name_hash`
+  /// the digest of f.name (bloom::hash_item), which callers have already
+  /// computed for the tree and replica filters. `added_seq` is the commit
+  /// sequence stamped on the mutation (0 = pre-history: bulk builds and
+  /// legacy snapshots, visible to every snapshot).
   void add_file(const metadata::FileMetadata& f, const la::Vector& std_coords,
-                std::uint64_t added_seq = 0);
+                const bloom::ItemHash& name_hash, std::uint64_t added_seq = 0);
 
-  /// Removes by id; returns the removed record. MBRs are not shrunk on
-  /// delete (standard R-tree practice; bounds stay conservative until the
-  /// next reconfiguration). With `deleted_seq` > 0 the removed version is
-  /// kept on the unit's tombstone chain so pinned snapshots older than the
-  /// delete can still see it; `deleted_seq` == 0 drops it outright (bulk
-  /// moves that re-home a record under its original added_seq).
-  std::optional<metadata::FileMetadata> remove_file(metadata::FileId id,
-                                                    std::uint64_t deleted_seq =
-                                                        0);
+  /// Removes by id; returns the removed record. `name_hash` must be the
+  /// digest of that record's name. MBRs are not shrunk on delete (standard
+  /// R-tree practice; bounds stay conservative until the next
+  /// reconfiguration). With `deleted_seq` > 0 the removed version is kept on
+  /// the unit's tombstone chain so pinned snapshots older than the delete
+  /// can still see it; `deleted_seq` == 0 drops it outright (bulk moves that
+  /// re-home a record under its original added_seq).
+  std::optional<metadata::FileMetadata> remove_file(
+      metadata::FileId id, const bloom::ItemHash& name_hash,
+      std::uint64_t deleted_seq = 0);
 
   /// Local filename lookup (exact).
   const metadata::FileMetadata* find_by_name(const std::string& name) const;
   const metadata::FileMetadata* find_by_id(metadata::FileId id) const;
 
   const std::vector<metadata::FileMetadata>& files() const { return files_; }
-  const std::vector<la::Vector>& std_coords() const { return std_coords_; }
+  /// Standardized coordinates of the record at position i.
+  std::span<const double> std_coords(std::size_t i) const {
+    return {coords_.data() + i * metadata::kNumAttrs, metadata::kNumAttrs};
+  }
 
   /// Commit sequence of each live record, parallel to files(). 0 means
   /// pre-history (always visible).
@@ -126,22 +203,31 @@ class StorageUnit {
  private:
   UnitId id_;
   std::vector<metadata::FileMetadata> files_;
-  std::vector<la::Vector> std_coords_;        // parallel to files_
-  std::vector<std::uint64_t> added_seqs_;     // parallel to files_
-  std::vector<TombstoneRecord> tombstones_;   // MVCC version chain
-  std::unordered_map<std::string, std::size_t> by_name_;  // name -> position
-  std::unordered_map<metadata::FileId, std::size_t> by_id_;
+  std::vector<double> coords_;             // kNumAttrs per record of files_
+  std::vector<std::uint64_t> added_seqs_;  // parallel to files_
+  std::vector<TombstoneRecord> tombstones_;  // MVCC version chain
+  PositionIndex by_name_;  // name -> position
+  PositionIndex by_id_;    // id -> position
   bloom::CountingBloomFilter name_filter_;
   rtree::Mbr box_;
   la::Vector attr_sums_;  // running sums for the centroid
+
+  /// Index key matchers: does the record at a position carry this key?
+  auto name_is(const std::string& name) const {
+    return [this, &name](std::size_t pos) { return files_[pos].name == name; };
+  }
+  auto id_is(metadata::FileId id) const {
+    return [this, id](std::size_t pos) { return files_[pos].id == id; };
+  }
 };
 
 /// Aggregated changes between two replica synchronization points
 /// (Section 4.4). Small by construction: only summaries of the changed
-/// files, kept in memory.
+/// files, kept in memory. The name filter is held sparse (its set-bit
+/// positions); byte_size() reports the dense form a snapshot writes.
 struct VersionDelta {
   rtree::Mbr added_box;             ///< MBR of inserted files (standardized)
-  bloom::BloomFilter added_names;   ///< filenames inserted in this window
+  bloom::SparseBloomFilter added_names;  ///< filenames inserted in this window
   la::Vector added_attr_sum;        ///< raw-attribute sum of inserted files
   std::size_t added_count = 0;
   std::vector<metadata::FileId> deleted;
@@ -170,9 +256,10 @@ struct GroupReplica {
   /// Effective centroid including version deltas.
   la::Vector effective_centroid(bool with_versions) const;
 
-  /// Filename may-contain check: base filter, then versions newest-first
-  /// (rolling backward); honours version deletions before older inserts.
-  bool name_may_contain(const std::string& name, bool with_versions) const;
+  /// Filename may-contain check for the name whose digest is `h`: versions
+  /// newest-first (rolling backward), then the base filter. One digest
+  /// serves every filter consulted.
+  bool name_may_contain(const bloom::ItemHash& h, bool with_versions) const;
 
   std::size_t byte_size() const;
   std::size_t versions_byte_size() const;

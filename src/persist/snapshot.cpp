@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <utility>
 
@@ -137,7 +138,7 @@ lsi::LsiModel read_lsi(BinaryReader& r) {
 
 void write_version_delta(BinaryWriter& w, const core::VersionDelta& v) {
   write_mbr(w, v.added_box);
-  write_bloom(w, v.added_names);
+  write_bloom(w, v.added_names.to_dense());
   w.write_vec_f64(v.added_attr_sum);
   w.write_u64(v.added_count);
   w.write_vec_u64(v.deleted);
@@ -147,7 +148,10 @@ void write_version_delta(BinaryWriter& w, const core::VersionDelta& v) {
 core::VersionDelta read_version_delta(BinaryReader& r) {
   core::VersionDelta v;
   v.added_box = read_mbr(r);
-  v.added_names = read_bloom(r);
+  const bloom::BloomFilter names = read_bloom(r);
+  if (names.bit_count() > std::numeric_limits<std::uint32_t>::max())
+    throw PersistError("version filter wider than 2^32 bits");
+  v.added_names = bloom::SparseBloomFilter::from_dense(names);
   v.added_attr_sum = r.read_vec_f64();
   v.added_count = static_cast<std::size_t>(r.read_u64());
   v.deleted = r.read_vec_u64();
@@ -564,7 +568,7 @@ struct SnapshotAccess {
       for (std::size_t i = 0; i < nfiles; ++i) {
         s.units_.back().add_file(
             files[i], s.standardizer_.transform(files[i].full_vector()),
-            seqs[i]);
+            bloom::hash_item(files[i].name), seqs[i]);
       }
       if (version >= 2) {
         const std::size_t ntombs = static_cast<std::size_t>(

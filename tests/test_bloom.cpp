@@ -146,6 +146,90 @@ TEST(CountingBloomFilter, DuplicateInsertsNeedMatchingRemoves) {
   EXPECT_FALSE(cbf.may_contain("/f"));
 }
 
+ItemHash random_hash(util::Rng& rng) {
+  ItemHash h;
+  for (auto& w : h.w) w = static_cast<std::uint32_t>(rng.next_u64());
+  return h;
+}
+
+// The sparse form must answer exactly as the dense form with the same
+// bits. Probes mix random digests, inserted digests, and inserted digests
+// with one word replaced (so the first probes hit and a later one decides).
+TEST(SparseBloomFilter, MatchesDenseFilterOnRandomizedProbes) {
+  util::Rng rng(41);
+  for (const std::size_t bits : {std::size_t{1024}, std::size_t{262144}}) {
+    std::size_t probes = 0, positives = 0;
+    for (std::size_t trial = 0; probes < 50000; ++trial) {
+      BloomFilter dense(bits, 7);
+      SparseBloomFilter sparse(bits, 7);
+      std::vector<ItemHash> items(1 + rng.uniform_u64(32));
+      for (auto& h : items) {
+        h = random_hash(rng);
+        dense.insert(h);
+        sparse.insert(h);
+      }
+      for (const auto& h : items) {
+        ProbeCache probes(h);
+        ASSERT_TRUE(sparse.may_contain(probes));
+      }
+      for (int p = 0; p < 500; ++p, ++probes) {
+        ItemHash q = items[rng.uniform_u64(items.size())];
+        switch (rng.uniform_u64(3)) {
+          case 0: q = random_hash(rng); break;
+          case 1:
+            q.w[rng.uniform_u64(4)] = static_cast<std::uint32_t>(rng.next_u64());
+            break;
+          default: break;
+        }
+        const bool hit = dense.may_contain(q);
+        positives += hit ? 1 : 0;
+        ProbeCache probes(q);
+        ASSERT_EQ(sparse.may_contain(probes), hit)
+            << "bits " << bits << " trial " << trial << " probe " << p;
+      }
+      // Round trip through the dense encoding the snapshot codec writes.
+      EXPECT_EQ(sparse.to_dense(), dense);
+      EXPECT_EQ(SparseBloomFilter::from_dense(dense), sparse);
+      EXPECT_EQ(sparse.dense_byte_size(), dense.byte_size());
+    }
+    EXPECT_GT(positives, 0u);
+    EXPECT_LT(positives, probes);
+  }
+}
+
+TEST(SparseBloomFilter, EmptyAndGeometry) {
+  const SparseBloomFilter sf(1000, 5);
+  EXPECT_EQ(sf.bit_count(), 1024u);  // rounded like the dense filter
+  EXPECT_EQ(sf.num_hashes(), 5u);
+  ProbeCache probes(hash_item("/x"));
+  EXPECT_FALSE(sf.may_contain(probes));
+  EXPECT_EQ(sf.to_dense(), BloomFilter(1000, 5));
+}
+
+// One cache serves filters of different geometries in turn: it must
+// recompute the positions whenever bits or k change.
+TEST(SparseBloomFilter, ProbeCacheFollowsGeometry) {
+  util::Rng rng(43);
+  BloomFilter dense_a(1024, 7), dense_b(262144, 5);
+  std::vector<ItemHash> items(20);
+  for (auto& h : items) {
+    h = random_hash(rng);
+    dense_a.insert(h);
+    dense_b.insert(h);
+  }
+  const auto sparse_a = SparseBloomFilter::from_dense(dense_a);
+  const auto sparse_b = SparseBloomFilter::from_dense(dense_b);
+  for (int p = 0; p < 2000; ++p) {
+    const ItemHash q =
+        p % 2 ? items[rng.uniform_u64(items.size())] : random_hash(rng);
+    ProbeCache probes(q);
+    for (int round = 0; round < 2; ++round) {
+      ASSERT_EQ(sparse_a.may_contain(probes), dense_a.may_contain(q));
+      ASSERT_EQ(sparse_b.may_contain(probes), dense_b.may_contain(q));
+    }
+  }
+}
+
 class BloomGeometryTest
     : public ::testing::TestWithParam<std::pair<std::size_t, unsigned>> {};
 

@@ -40,7 +40,7 @@ std::vector<StorageUnit> make_units(std::size_t n_units,
       f.name = "/u" + std::to_string(u) + "/f" + std::to_string(i);
       for (std::size_t d = 0; d < kNumAttrs; ++d)
         f.attrs[d] = c[d] + rng.gauss(0, 1.0);
-      units[u].add_file(f, f.full_vector());
+      units[u].add_file(f, f.full_vector(), bloom::hash_item(f.name));
     }
   }
   return units;
@@ -120,8 +120,9 @@ TEST(SemanticRTree, OnFileInsertedPropagatesUp) {
   f.name = "/new/file";
   for (std::size_t d = 0; d < kNumAttrs; ++d) f.attrs[d] = 1e5;  // far away
   const UnitId target = 0;
-  units[target].add_file(f, f.full_vector());
-  t.on_file_inserted(target, f.full_vector(), f.full_vector(), f.name);
+  units[target].add_file(f, f.full_vector(), bloom::hash_item(f.name));
+  t.on_file_inserted(target, f.full_vector(), f.full_vector(),
+                     bloom::hash_item(f.name));
 
   // Every ancestor (group .. root) must now cover the point and report the
   // name as present.
@@ -143,7 +144,9 @@ TEST(SemanticRTree, OnFileRemovedUpdatesCounts) {
   t.build(units, params());
   const std::size_t before = t.node(t.root_id()).file_count;
   const UnitId u = 2;
-  const auto removed = units[u].remove_file(units[u].files().front().id);
+  const metadata::FileMetadata first = units[u].files().front();
+  const auto removed =
+      units[u].remove_file(first.id, bloom::hash_item(first.name));
   ASSERT_TRUE(removed.has_value());
   t.on_file_removed(u, removed->full_vector());
   EXPECT_EQ(t.node(t.root_id()).file_count, before - 1);
@@ -167,7 +170,7 @@ TEST(SemanticRTree, AdmitUnitJoinsCorrelatedGroup) {
     const auto& src = twin.files()[i % twin.file_count()];
     for (std::size_t d = 0; d < kNumAttrs; ++d)
       f.attrs[d] = src.attrs[d] + rng.gauss(0, 0.5);
-    units[nu].add_file(f, f.full_vector());
+    units[nu].add_file(f, f.full_vector(), bloom::hash_item(f.name));
   }
   const std::size_t g = t.admit_unit(units, nu);
   EXPECT_EQ(g, t.group_of_unit(nu));
@@ -197,7 +200,7 @@ TEST(SemanticRTree, AdmitManyUnitsForcesSplits) {
       f.name = "/r" + std::to_string(round) + "/f" + std::to_string(i);
       for (std::size_t d = 0; d < kNumAttrs; ++d)
         f.attrs[d] = rng.uniform(-100, 100);
-      units[nu].add_file(f, f.full_vector());
+      units[nu].add_file(f, f.full_vector(), bloom::hash_item(f.name));
     }
     t.admit_unit(units, nu);
     ASSERT_TRUE(t.check_invariants(units)) << "round " << round;
@@ -233,7 +236,7 @@ TEST(SemanticRTree, RecomputeAllRestoresSums) {
   f.id = 5555;
   f.name = "/direct/f";
   for (std::size_t d = 0; d < kNumAttrs; ++d) f.attrs[d] = 3.0;
-  units[3].add_file(f, f.full_vector());
+  units[3].add_file(f, f.full_vector(), bloom::hash_item(f.name));
   EXPECT_FALSE(t.check_invariants(units));  // counts stale
   t.recompute_all(units);
   EXPECT_TRUE(t.check_invariants(units));
