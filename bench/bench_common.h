@@ -1,6 +1,5 @@
 // Shared plumbing for the experiment harnesses: store construction,
-// background-load injection, query batches, recall computation and
-// fixed-width table printing.
+// latency summaries and fixed-width table printing.
 //
 // Every bench binary is deterministic (fixed seeds), runs with no
 // arguments and prints the corresponding paper table/figure series.
@@ -38,31 +37,6 @@ inline core::Config default_config(std::size_t units = 60) {
   cfg.seed = 42;
   cfg.max_groups_per_query = 4;  // "a single or a minimal number of groups"
   return cfg;
-}
-
-/// Occupies `node` of a cluster with background work arriving over
-/// [t0, t0 + window): `ops` service episodes of `service_s` each, uniform
-/// arrivals. Models the intensified metadata-op stream hitting a server.
-inline void inject_load(sim::Cluster& cluster, sim::NodeId node, double t0,
-                        double window, std::size_t ops, double service_s) {
-  for (std::size_t i = 0; i < ops; ++i) {
-    const double arrival =
-        t0 + window * static_cast<double>(i) / static_cast<double>(ops);
-    sim::Session s = cluster.start_session(node, arrival);
-    s.visit(service_s);
-  }
-}
-
-/// Spreads background work uniformly over all nodes (the decentralized
-/// counterpart of inject_load).
-inline void inject_spread_load(sim::Cluster& cluster, double t0, double window,
-                               std::size_t ops, double service_s) {
-  for (std::size_t i = 0; i < ops; ++i) {
-    const double arrival =
-        t0 + window * static_cast<double>(i) / static_cast<double>(ops);
-    sim::Session s = cluster.start_session(i % cluster.size(), arrival);
-    s.visit(service_s);
-  }
 }
 
 struct LatencySummary {

@@ -18,6 +18,7 @@ int main() {
   for (const std::size_t units : {20u, 40u, 60u, 80u, 100u}) {
     core::SmartStore store(default_config(units));
     store.build(tr.files());
+    store.simulate();  // latency is read in virtual time
     trace::QueryGenerator gen(tr, trace::QueryDistribution::kZipf, 71);
 
     LatencySummary on, off;

@@ -29,6 +29,7 @@ int main() {
       cfg.lazy_update_threshold = 10.0;
       core::SmartStore store(cfg);
       store.build(tr.files());
+      store.simulate();  // latency is read in virtual time
 
       // Update stream: inserts accumulate into versions.
       const auto inserts = tr.make_insert_stream(600, 43);

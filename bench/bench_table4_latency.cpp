@@ -41,6 +41,7 @@ void run_class(const char* label, int tif, baseline::DbmsStore& dbms,
   const std::size_t bg_ops =
       static_cast<std::size_t>(kBgRatePerTif * tif * kWindow);
   std::size_t bg_next = 0;
+  sim::Cluster& smart_cluster = smart.simulate();
   auto bg_arrival = [&](std::size_t i) {
     return kWindow * static_cast<double>(i) / static_cast<double>(bg_ops);
   };
@@ -55,8 +56,8 @@ void run_class(const char* label, int tif, baseline::DbmsStore& dbms,
       d.visit(kDbmsOpService);
       sim::Session r = rtree.cluster().start_session(0, t);
       r.visit(kRtreeOpService);
-      sim::Session s = smart.cluster().start_session(
-          bg_next % smart.cluster().size(), t);
+      sim::Session s = smart_cluster.start_session(
+          bg_next % smart_cluster.size(), t);
       s.visit(kSmartOpService);
       ++bg_next;
     }

@@ -45,7 +45,7 @@ int main() {
     std::fprintf(stderr, "query failed or file missing\n");
     return 1;
   }
-  std::printf("found file_42.dat on unit %llu (%.3f ms simulated)\n",
+  std::printf("found file_42.dat on unit %llu (%.3f ms)\n",
               static_cast<unsigned long long>(result->unit),
               result->stats.latency_s * 1e3);
 

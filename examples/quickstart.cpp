@@ -5,7 +5,8 @@
 // This is the 5-minute tour of the public API:
 //   1. synthesize (or load) a file-metadata population,
 //   2. configure and build a SmartStore,
-//   3. issue queries, read back results + simulated latency/messages.
+//   3. issue queries, read back results + simulated latency/messages
+//      (simulate() replays the queries on a virtual-time cluster).
 #include <algorithm>
 #include <cstdio>
 
@@ -32,6 +33,7 @@ int main() {
   cfg.fanout = 5;
   core::SmartStore store(cfg);
   store.build(trace.files());
+  store.simulate();
   std::printf("built semantic R-tree: %zu storage units, %zu index units, "
               "height %d, %zu first-level groups\n\n",
               store.units().size(), store.tree().num_nodes(),

@@ -6,7 +6,7 @@
 // query structs — the same types the trace generators emit — plus an
 // optional per-request routing override. QueryResult mirrors the shape:
 // `kind` tags which members are meaningful, and every result carries the
-// QueryStats the virtual-time cluster accounted for the operation.
+// operation's QueryStats: its measured latency and the routing work it did.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +28,18 @@ enum class QueryKind : std::uint8_t { kPoint, kRange, kTopK };
 /// QueryStats — the facade converts, so embedders never include core
 /// headers and the internal struct can evolve freely).
 struct QueryStats {
-  double latency_s = 0;        ///< completion - arrival (virtual time)
-  std::uint64_t messages = 0;  ///< network messages this operation sent
+  /// Wall-clock seconds the store spent answering (steady clock, measured
+  /// around the core call). The service Router reports the slowest shard.
+  double latency_s = 0;
+  std::uint64_t messages = 0;  ///< unit-to-unit messages the routing sent
   std::uint64_t hops = 0;      ///< inter-unit hops
   int routing_hops = 0;        ///< group-distance metric (0 = one group)
   std::size_t groups_visited = 0;
   std::size_t records_scanned = 0;
-  double version_check_s = 0;  ///< extra latency from version checks
-  bool failed = false;         ///< touched a crashed node
+  /// Simulated-cluster fields, kept for wire compatibility: a db::Store
+  /// always returns 0 and false.
+  double version_check_s = 0;
+  bool failed = false;
 };
 
 struct QueryRequest {

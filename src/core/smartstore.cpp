@@ -15,14 +15,9 @@ using metadata::kNumAttrs;
 
 namespace {
 
-/// Small fixed message sizes for the simulated protocol.
+/// Message size of one routed request in the simulated protocol.
 constexpr std::size_t kQueryMsgBytes = 256;
-constexpr std::size_t kVersionMsgBytes = 2048;   // a sealed delta is small
-constexpr std::size_t kReplicaMsgBytes = 16384;  // a full summary refresh
 
-}  // namespace
-
-namespace {
 /// Process-wide store instance ids, so per-thread RNG streams can tell
 /// apart two stores that happen to occupy the same address over time.
 std::atomic<std::uint64_t> g_next_store_id{1};
@@ -250,26 +245,48 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
   tree_.build(units_, params);
   tree_.map_index_units(rng_);
 
-  cluster_ = std::make_unique<sim::Cluster>(cfg_.num_units, cfg_.cost);
+  // A fresh deployment starts its simulated cluster idle at time zero.
+  if (cluster_) *cluster_ = sim::Cluster(cfg_.num_units, cfg_.cost);
   variants_.clear();
   init_sync_state();
 }
 
+sim::Cluster& SmartStore::simulate() {
+  const util::WriterLock ex(structure_mu_);
+  if (!cluster_) {
+    cluster_ = std::make_unique<sim::Cluster>(
+        units_.empty() ? cfg_.num_units : units_.size(), cfg_.cost);
+    for (UnitId u = 0; u < units_.size(); ++u)
+      if (!unit_active_[u]) cluster_->set_node_alive(u, false);
+  }
+  return *cluster_;
+}
+
 void SmartStore::init_sync_state() {
   sync_.clear();
-  for (std::size_t g : tree_.groups()) {
-    GroupSync gs;
-    const IndexUnit& n = tree_.node(g);
+  refresh_sync_groups();
+}
+
+VersionDelta SmartStore::empty_delta() const {
+  VersionDelta d;
+  d.added_names = bloom::SparseBloomFilter(bloom_bits_, cfg_.bloom_hashes);
+  d.added_attr_sum.assign(kNumAttrs, 0.0);
+  return d;
+}
+
+SmartStore::GroupSync SmartStore::fresh_sync(std::size_t g) const {
+  GroupSync gs;
+  const IndexUnit& n = tree_.node(g);
+  {
+    const auto guard = maybe_lock(&summary_stripes_, &n);
     gs.replica.centroid_raw = n.centroid_raw();
     gs.replica.attr_sum = n.attr_sum;
     gs.replica.file_count = n.file_count;
     gs.replica.box = n.box;
     gs.replica.name_filter = n.name_filter;
-    gs.pending.added_names =
-        bloom::SparseBloomFilter(bloom_bits_, cfg_.bloom_hashes);
-    gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
-    sync_.emplace(g, std::move(gs));
   }
+  gs.pending = empty_delta();
+  return gs;
 }
 
 void SmartStore::refresh_sync_groups() {
@@ -282,20 +299,8 @@ void SmartStore::refresh_sync_groups() {
       ++it;
     }
   }
-  for (std::size_t g : tree_.groups()) {
-    if (sync_.count(g)) continue;
-    GroupSync gs;
-    const IndexUnit& n = tree_.node(g);
-    gs.replica.centroid_raw = n.centroid_raw();
-    gs.replica.attr_sum = n.attr_sum;
-    gs.replica.file_count = n.file_count;
-    gs.replica.box = n.box;
-    gs.replica.name_filter = n.name_filter;
-    gs.pending.added_names =
-        bloom::SparseBloomFilter(bloom_bits_, cfg_.bloom_hashes);
-    gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
-    sync_.emplace(g, std::move(gs));
-  }
+  for (std::size_t g : tree_.groups())
+    if (!sync_.count(g)) sync_.emplace(g, fresh_sync(g));
 }
 
 util::Rng& SmartStore::thread_rng() const {
@@ -318,7 +323,7 @@ util::Rng& SmartStore::thread_rng() const {
   return rng;
 }
 
-sim::NodeId SmartStore::random_home() {
+UnitId SmartStore::random_home() {
   // Queries arrive at a uniformly random active storage unit (Section 2.2).
   util::Rng& rng = thread_rng();
   for (int tries = 0; tries < 64; ++tries) {
@@ -328,6 +333,12 @@ sim::NodeId SmartStore::random_home() {
   for (UnitId u = 0; u < units_.size(); ++u)
     if (unit_active_[u]) return u;
   return 0;
+}
+
+sim::Session SmartStore::start_session(double arrival) {
+  const UnitId home = random_home();
+  return cluster_ ? cluster_->start_session(home, arrival)
+                  : sim::Session(home, arrival);
 }
 
 // ---- geometry helpers -------------------------------------------------------
@@ -538,33 +549,16 @@ std::size_t SmartStore::best_group_for_vector(const la::Vector& raw) const {
 
 // ---- versioning / sync ------------------------------------------------------
 
-void SmartStore::seal_version(std::size_t g, double now, sim::Session* session) {
+void SmartStore::seal_version(std::size_t g, double now) {
   sync_stripes_.assert_held(&sync_.at(g));
   GroupSync& gs = sync_.at(g);
   if (gs.pending.empty()) return;
   gs.pending.sealed_at = now;
   gs.replica.versions.push_back(std::move(gs.pending));
-  gs.pending = VersionDelta{};
-  gs.pending.added_names =
-      bloom::SparseBloomFilter(bloom_bits_, cfg_.bloom_hashes);
-  gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
-
-  // Multicast the sealed version to every other storage unit.
-  if (session) {
-    std::vector<sim::Session> branches;
-    const sim::NodeId origin = session->location();
-    for (UnitId u = 0; u < units_.size(); ++u) {
-      if (u == origin || !unit_active_[u]) continue;
-      sim::Session b = session->fork();
-      b.send_to(u, kVersionMsgBytes);
-      branches.push_back(b);
-    }
-    // Version multicast is asynchronous: it consumes bandwidth (counted)
-    // but does not extend the requester-visible latency, so no join here.
-  }
+  gs.pending = empty_delta();
 }
 
-void SmartStore::full_sync_group(std::size_t g, sim::Session* session) {
+void SmartStore::full_sync_group(std::size_t g) {
   // Copy the authoritative node summary under the node's stripe, install
   // it under the group's sync stripe: two stripes, never held together
   // (the one-stripe-at-a-time discipline that keeps the pool
@@ -572,47 +566,12 @@ void SmartStore::full_sync_group(std::size_t g, sim::Session* session) {
   // reflected in neither the copied base nor the cleared pending delta —
   // ordinary replica staleness, repaired by the next sync, and exactly the
   // error mode off-line routing already tolerates.
-  const IndexUnit& n = tree_.node(g);
-  la::Vector centroid, attr_sum;
-  std::size_t file_count;
-  rtree::Mbr box;
-  bloom::BloomFilter name_filter;
-  {
-    const auto node_guard = maybe_lock(&summary_stripes_, &n);
-    centroid = n.centroid_raw();
-    attr_sum = n.attr_sum;
-    file_count = n.file_count;
-    box = n.box;
-    name_filter = n.name_filter;
-  }
-  {
-    const auto sync_guard = maybe_lock(&sync_stripes_, &sync_.at(g));
-    GroupSync& gs = sync_.at(g);
-    gs.replica.centroid_raw = std::move(centroid);
-    gs.replica.attr_sum = std::move(attr_sum);
-    gs.replica.file_count = file_count;
-    gs.replica.box = box;
-    gs.replica.name_filter = std::move(name_filter);
-    gs.replica.versions.clear();
-    gs.pending = VersionDelta{};
-    gs.pending.added_names =
-        bloom::SparseBloomFilter(bloom_bits_, cfg_.bloom_hashes);
-    gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
-    gs.changes_since_full_sync = 0;
-  }
-
-  if (session) {
-    const sim::NodeId origin = session->location();
-    for (UnitId u = 0; u < units_.size(); ++u) {
-      if (u == origin || !unit_active_[u]) continue;
-      sim::Session b = session->fork();
-      b.send_to(u, kReplicaMsgBytes);
-    }
-  }
+  GroupSync fresh = fresh_sync(g);
+  const auto sync_guard = maybe_lock(&sync_stripes_, &sync_.at(g));
+  sync_.at(g) = std::move(fresh);
 }
 
-bool SmartStore::after_group_change(std::size_t g, double now,
-                                    sim::Session* session) {
+bool SmartStore::after_group_change(std::size_t g, double now) {
   sync_stripes_.assert_held(&sync_.at(g));
   GroupSync& gs = sync_.at(g);
   ++gs.changes_since_full_sync;
@@ -620,7 +579,7 @@ bool SmartStore::after_group_change(std::size_t g, double now,
   if (cfg_.versioning_enabled) {
     const std::size_t pending_changes =
         gs.pending.added_count + gs.pending.deleted.size();
-    if (pending_changes >= cfg_.version_ratio) seal_version(g, now, session);
+    if (pending_changes >= cfg_.version_ratio) seal_version(g, now);
   }
   // Lazy updating (Section 3.4): a full replica refresh once accumulated
   // changes exceed the threshold fraction of the group's population. The
@@ -634,7 +593,7 @@ bool SmartStore::after_group_change(std::size_t g, double now,
 void SmartStore::reconfigure() {
   util::WriterLock ex(structure_mu_);
   epoch_.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t g : tree_.groups()) full_sync_group(g, nullptr);
+  for (std::size_t g : tree_.groups()) full_sync_group(g);
 }
 
 // ---- dynamic operations ------------------------------------------------------
@@ -660,7 +619,7 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
                                         const WalHook& logged,
                                         std::uint64_t forced_seq) {
   QueryStats stats;
-  sim::Session session = cluster_->start_session(random_home(), arrival);
+  sim::Session session = start_session(arrival);
 
   // Home unit ranks groups from its local replicas (off-line routing).
   session.visit(cfg_.cost.per_node_visit_s +
@@ -743,9 +702,9 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
     for (std::size_t d = 0; d < kNumAttrs; ++d)
       gs.pending.added_attr_sum[d] += raw[d];
     ++gs.pending.added_count;
-    want_full_sync = after_group_change(g, session.clock(), &session);
+    want_full_sync = after_group_change(g, session.clock());
   }
-  if (want_full_sync) full_sync_group(g, &session);
+  if (want_full_sync) full_sync_group(g);
 
   stats.latency_s = session.clock() - arrival;
   stats.messages = session.messages();
@@ -767,14 +726,14 @@ std::optional<QueryStats> SmartStore::delete_file(const std::string& name,
   // The locate and the removal are not atomic: a concurrent delete of the
   // same name can win in between, in which case this one reports "absent".
   if (!remove_located(located.unit, located.id, name, name_hash,
-                      located.stats.latency_s + arrival, nullptr, {}))
+                      located.stats.latency_s + arrival, {}))
     return std::nullopt;
   return located.stats;
 }
 
 bool SmartStore::remove_located(UnitId u, FileId id, const std::string& name,
                                 const bloom::ItemHash& name_hash, double now,
-                                sim::Session* session, const WalHook& logged) {
+                                const WalHook& logged) {
   epoch_.fetch_add(1, std::memory_order_relaxed);
   la::Vector raw;
   {
@@ -799,9 +758,9 @@ bool SmartStore::remove_located(UnitId u, FileId id, const std::string& name,
     const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
     GroupSync& gs = sync_.at(g);
     gs.pending.deleted.push_back(id);
-    want_full_sync = after_group_change(g, now, session);
+    want_full_sync = after_group_change(g, now);
   }
-  if (want_full_sync) full_sync_group(g, session);
+  if (want_full_sync) full_sync_group(g);
   return true;
 }
 
@@ -828,7 +787,7 @@ bool SmartStore::erase_file_impl(const std::string& name,
     // The unit lock was dropped between locate and removal; remove_located
     // re-checks by id and reports a lost race, in which case the scan
     // continues (the name might also exist on a later unit).
-    if (remove_located(u, id, name, name_hash, 0.0, nullptr, logged))
+    if (remove_located(u, id, name, name_hash, 0.0, logged))
       return true;
   }
   return false;
@@ -846,7 +805,7 @@ PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
                                          Routing routing, double arrival,
                                          const bloom::ItemHash& qhash) {
   PointResult res;
-  sim::Session session = cluster_->start_session(random_home(), arrival);
+  sim::Session session = start_session(arrival);
   const UnitId home = session.location();
 
   // The home unit always checks its own filter first: queries about files
@@ -1015,7 +974,7 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
   la::Vector lo, hi;
   standardize_range(q, dim_idx, lo, hi);
 
-  sim::Session session = cluster_->start_session(random_home(), arrival);
+  sim::Session session = start_session(arrival);
   const UnitId home = session.location();
   std::vector<std::size_t> result_groups;
 
@@ -1025,10 +984,14 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
                                 ? tree_for_dims(q.dims)
                                 : tree_;
 
-  auto scan_group = [&](std::size_t g) {
+  // Serves first-level group `g` on session `s`: forwards to the group's
+  // index unit, which multicasts to every member unit whose box meets the
+  // query.
+  auto scan_group = [&](sim::Session& s, std::size_t g) {
+    ++res.stats.groups_visited;
     const IndexUnit& group = rt.node(g);
-    session.send_to(group.mapped_unit, kQueryMsgBytes);
-    session.visit(cfg_.cost.per_node_visit_s);
+    s.send_to(group.mapped_unit, kQueryMsgBytes);
+    s.visit(cfg_.cost.per_node_visit_s);
     const std::size_t before = res.ids.size();
     std::vector<sim::Session> branches;
     for (UnitId u : group.children) {
@@ -1036,13 +999,13 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
       // coordinates stay consistent for the duration of the local scan.
       const util::MutexLock guard(unit_mutex(u));
       if (!box_intersects(units_[u].box(), dim_idx, lo, hi)) continue;
-      sim::Session b = session.fork();
+      sim::Session b = s.fork();
       b.send_to(u, kQueryMsgBytes);
       b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
       unit_range_scan(units_[u], dim_idx, lo, hi, res.ids);
       branches.push_back(b);
     }
-    session.join(branches);
+    s.join(branches);
     if (res.ids.size() > before) result_groups.push_back(g);
   };
 
@@ -1055,8 +1018,7 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
     res.stats.version_check_s = version_cost;
     for (const auto& rg : ranked) {
       if (res.stats.groups_visited >= cfg_.max_groups_per_query) break;
-      ++res.stats.groups_visited;
-      scan_group(rg.node_id);
+      scan_group(session, rg.node_id);
     }
   } else {
     // On-line: multicast up from the home group to the root (father links),
@@ -1078,32 +1040,19 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
             const auto guard = maybe_lock(&summary_stripes_, &n);
             if (!box_intersects(n.box, dim_idx, lo, hi)) return;
           }
+          if (n.level == 1) {
+            scan_group(s, nid);
+            return;
+          }
           s.send_to(n.mapped_unit, kQueryMsgBytes);
           s.visit(cfg_.cost.per_node_visit_s);
-          if (n.level == 1) {
-            ++res.stats.groups_visited;
-            const std::size_t before = res.ids.size();
-            std::vector<sim::Session> branches;
-            for (UnitId u : n.children) {
-              const util::MutexLock guard(unit_mutex(u));
-              if (!box_intersects(units_[u].box(), dim_idx, lo, hi)) continue;
-              sim::Session b = s.fork();
-              b.send_to(u, kQueryMsgBytes);
-              b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
-              unit_range_scan(units_[u], dim_idx, lo, hi, res.ids);
-              branches.push_back(b);
-            }
-            s.join(branches);
-            if (res.ids.size() > before) result_groups.push_back(nid);
-          } else {
-            std::vector<sim::Session> branches;
-            for (std::size_t c : n.children) {
-              sim::Session b = s.fork();
-              descend(b, c);
-              branches.push_back(b);
-            }
-            s.join(branches);
+          std::vector<sim::Session> branches;
+          for (std::size_t c : n.children) {
+            sim::Session b = s.fork();
+            descend(b, c);
+            branches.push_back(b);
           }
+          s.join(branches);
         };
     descend(session, node_id);
   }
@@ -1131,7 +1080,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
   std::vector<std::size_t> dim_idx;
   const la::Vector point = standardize_point(q, dim_idx);
 
-  sim::Session session = cluster_->start_session(random_home(), arrival);
+  sim::Session session = start_session(arrival);
   const UnitId home = session.location();
 
   // Max-heap of the best-k candidates with their originating groups.
@@ -1145,10 +1094,14 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
                              : heap.front().first;
   };
 
-  auto scan_group = [&](std::size_t g) {
+  // Serves first-level group `g` on session `s`: forwards to the group's
+  // index unit, which multicasts to every member unit that could still
+  // improve MaxD.
+  auto scan_group = [&](sim::Session& s, std::size_t g) {
+    ++res.stats.groups_visited;
     const IndexUnit& group = rt.node(g);
-    session.send_to(group.mapped_unit, kQueryMsgBytes);
-    session.visit(cfg_.cost.per_node_visit_s);
+    s.send_to(group.mapped_unit, kQueryMsgBytes);
+    s.visit(cfg_.cost.per_node_visit_s);
     bool contributed = false;
     std::vector<sim::Session> branches;
     for (UnitId u : group.children) {
@@ -1156,7 +1109,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
       if (box_min_dist2(units_[u].box(), dim_idx, point) >= max_d() &&
           heap.size() >= q.k)
         continue;
-      sim::Session b = session.fork();
+      sim::Session b = s.fork();
       b.send_to(u, kQueryMsgBytes);
       b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
       const std::size_t before = heap.size();
@@ -1165,7 +1118,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
       if (heap.size() > before || max_d() < before_worst) contributed = true;
       branches.push_back(b);
     }
-    session.join(branches);
+    s.join(branches);
     if (contributed) result_groups.push_back(g);
   };
 
@@ -1181,15 +1134,13 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
       // MaxD pruning (Section 3.3.2): stop when no remaining group can
       // improve the current k-th best distance.
       if (heap.size() >= q.k && rg.score >= max_d()) break;
-      ++res.stats.groups_visited;
-      scan_group(rg.node_id);
+      scan_group(session, rg.node_id);
     }
   } else {
     // On-line: serve the home group first to seed MaxD, then climb toward
     // the root, descending into any subtree whose MBR could improve MaxD.
-    std::size_t start = tree_.group_of_unit(home);
-    ++res.stats.groups_visited;
-    scan_group(start);
+    const std::size_t start = tree_.group_of_unit(home);
+    scan_group(session, start);
 
     std::function<void(sim::Session&, std::size_t)> descend =
         [&](sim::Session& s, std::size_t nid) {
@@ -1201,33 +1152,12 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
               return;
           }
           if (n.level == 1) {
-            if (nid == start) return;  // already served
-            s.send_to(n.mapped_unit, kQueryMsgBytes);
-            s.visit(cfg_.cost.per_node_visit_s);
-            ++res.stats.groups_visited;
-            bool contributed = false;
-            std::vector<sim::Session> branches;
-            for (UnitId u : n.children) {
-              const util::MutexLock guard(unit_mutex(u));
-              if (box_min_dist2(units_[u].box(), dim_idx, point) >= max_d() &&
-                  heap.size() >= q.k)
-                continue;
-              sim::Session b = s.fork();
-              b.send_to(u, kQueryMsgBytes);
-              b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
-              const std::size_t before = heap.size();
-              const double bw = max_d();
-              unit_topk_scan(units_[u], dim_idx, point, q.k, heap);
-              if (heap.size() > before || max_d() < bw) contributed = true;
-              branches.push_back(b);
-            }
-            s.join(branches);
-            if (contributed) result_groups.push_back(nid);
-          } else {
-            s.send_to(n.mapped_unit, kQueryMsgBytes);
-            s.visit(cfg_.cost.per_node_visit_s);
-            for (std::size_t c : n.children) descend(s, c);
+            if (nid != start) scan_group(s, nid);  // start already served
+            return;
           }
+          s.send_to(n.mapped_unit, kQueryMsgBytes);
+          s.visit(cfg_.cost.per_node_visit_s);
+          for (std::size_t c : n.children) descend(s, c);
         };
     // Climb: at each ancestor check the other subtrees.
     std::size_t cur = start;
@@ -1301,7 +1231,7 @@ UnitId SmartStore::add_storage_unit(const StructuralHook& logged) {
   units_.emplace_back(id, bloom_bits_, cfg_.bloom_hashes);
   unit_active_.push_back(true);
   rebuild_unit_locks();
-  cluster_->add_node();
+  if (cluster_) cluster_->add_node();
   tree_.admit_unit(units_, id);
   for (auto& v : variants_) v.tree.admit_unit(units_, id);
   refresh_sync_groups();
@@ -1330,7 +1260,7 @@ void SmartStore::remove_storage_unit(UnitId u, const StructuralHook& logged) {
   tree_.remove_unit(units_, u);
   for (auto& v : variants_) v.tree.remove_unit(units_, u);
   unit_active_[u] = false;
-  cluster_->set_node_alive(u, false);
+  if (cluster_) cluster_->set_node_alive(u, false);
   refresh_sync_groups();
   // Displaced files re-insert through the impl: the public insert_file
   // takes the structure lock shared and would self-deadlock here. The

@@ -5,8 +5,10 @@
 // servers), a main semantic R-tree over them, the off-line pre-processing
 // state (replicated first-level index-unit summaries with versioning), and
 // optional auto-configured tree variants for attribute-subset queries.
-// All operations run against a virtual-time cluster (sim::Cluster), which
-// yields the latency/message/hop numbers the paper's evaluation reports.
+// Every routed operation counts the messages and hops it would send between
+// units. Virtual-time latency and node failure come from a simulated
+// cluster (sim::Cluster) that only the paper-reproduction callers create,
+// through simulate(); the serving path never does.
 //
 // Query semantics follow Section 3.3:
 //   * point queries walk the Bloom-filter hierarchy;
@@ -89,14 +91,15 @@ struct Config {
 
 /// Per-operation accounting reported by every query/update.
 struct QueryStats {
-  double latency_s = 0;          ///< completion - arrival (virtual time)
+  /// Completion - arrival in virtual time; 0 unless the store is simulated.
+  double latency_s = 0;
   std::uint64_t messages = 0;    ///< network messages this operation sent
   std::uint64_t hops = 0;        ///< inter-unit hops
   int routing_hops = 0;          ///< Figure 8 group-distance (0 = 1 group)
   std::size_t groups_visited = 0;
   std::size_t records_scanned = 0;
   double version_check_s = 0;    ///< extra latency from version checks
-  bool failed = false;           ///< touched a crashed node
+  bool failed = false;           ///< touched a crashed simulated node
 };
 
 struct PointResult {
@@ -166,7 +169,8 @@ class SmartStore {
   // (multi-writer serving): each takes the structure lock shared, routes
   // under striped summary locks, and mutates only the target unit under
   // that unit's dedicated lock. The reconfiguration block below and
-  // build() are exclusive and may run concurrently with anything.
+  // build() are exclusive and may run concurrently with anything. A store
+  // whose simulate() was called is single-threaded instead.
 
   /// Routes the file to its most correlated group and inserts it into the
   /// least-loaded member unit; updates the tree locally and the
@@ -300,7 +304,15 @@ class SmartStore {
       SS_NO_THREAD_SAFETY_ANALYSIS {
     return standardizer_;
   }
-  sim::Cluster& cluster() { return *cluster_; }
+
+  /// The virtual-time cluster the paper's evaluation reads latency and
+  /// node failure from, created on first call with one node per storage
+  /// unit (removed units dead) and the store's own cost model; build()
+  /// resets it to idle queues. Without it, routed operations report zero
+  /// latency and never fail. A sim::Cluster is single-threaded: once this
+  /// returns, drive the store from one thread.
+  sim::Cluster& simulate();
+
   const std::vector<TreeVariant>& variants() const { return variants_; }
   std::size_t total_files() const { return total_files_; }
 
@@ -487,7 +499,7 @@ class SmartStore {
   /// won); returns whether the removal happened.
   bool remove_located(UnitId u, metadata::FileId id, const std::string& name,
                       const bloom::ItemHash& name_hash, double now,
-                      sim::Session* session, const WalHook& logged)
+                      const WalHook& logged)
       SS_REQUIRES_SHARED(structure_mu_);
 
   // ---- internals ---------------------------------------------------------
@@ -540,24 +552,34 @@ class SmartStore {
   /// single-threaded build/reconfiguration paths and the snapshot).
   util::Rng& thread_rng() const;
 
-  sim::NodeId random_home() SS_REQUIRES_SHARED(structure_mu_);
-  void init_sync_state() SS_REQUIRES(structure_mu_);
-  /// Snapshots group `g`'s current truth into its replica (full sync) and
-  /// multicasts it; clears versions. Copies the authoritative node summary
-  /// under the node's stripe, then installs it under the group's sync
-  /// stripe — never holding two stripes at once.
-  void full_sync_group(std::size_t g, sim::Session* session)
+  UnitId random_home() SS_REQUIRES_SHARED(structure_mu_);
+  /// Starts a routed operation's session at a random home unit: on the
+  /// simulated cluster when there is one, clusterless otherwise.
+  sim::Session start_session(double arrival)
       SS_REQUIRES_SHARED(structure_mu_);
-  /// Seals the pending delta into a version and multicasts it. Caller
-  /// holds group `g`'s sync stripe (asserted at runtime — the stripe is
-  /// hash-picked, so TSA cannot name it).
-  void seal_version(std::size_t g, double now, sim::Session* session)
+  void init_sync_state() SS_REQUIRES(structure_mu_);
+  /// An empty pending delta sized for the store's Bloom filters.
+  VersionDelta empty_delta() const SS_REQUIRES_SHARED(structure_mu_);
+  /// Group `g`'s sync state as of a full sync: its replica copies the
+  /// authoritative node summary (read under the node's stripe), with no
+  /// versions and an empty pending delta.
+  GroupSync fresh_sync(std::size_t g) const
+      SS_REQUIRES_SHARED(structure_mu_);
+  /// Snapshots group `g`'s current truth into its replica (full sync);
+  /// clears versions. Builds the fresh state under the node's stripe, then
+  /// installs it under the group's sync stripe — never holding two stripes
+  /// at once.
+  void full_sync_group(std::size_t g) SS_REQUIRES_SHARED(structure_mu_);
+  /// Seals the pending delta into a version. Caller holds group `g`'s sync
+  /// stripe (asserted at runtime — the stripe is hash-picked, so TSA
+  /// cannot name it).
+  void seal_version(std::size_t g, double now)
       SS_REQUIRES_SHARED(structure_mu_);
   /// Applies the versioning policy after a change to group g (caller holds
   /// the group's sync stripe, asserted at runtime); returns true when the
   /// lazy-update threshold tripped and the caller must run full_sync_group
   /// once the stripe is released.
-  bool after_group_change(std::size_t g, double now, sim::Session* session)
+  bool after_group_change(std::size_t g, double now)
       SS_REQUIRES_SHARED(structure_mu_);
 
   struct RankedGroup {
@@ -639,6 +661,7 @@ class SmartStore {
   std::vector<bool> unit_active_ SS_GUARDED_BY(structure_mu_);
   SemanticRTree tree_;
   std::vector<TreeVariant> variants_;
+  /// Null until simulate(); see there for its threading contract.
   std::unique_ptr<sim::Cluster> cluster_;
   la::RowStandardizer standardizer_ SS_GUARDED_BY(structure_mu_);
   std::unordered_map<std::size_t, GroupSync> sync_;  // group node -> state
@@ -679,12 +702,11 @@ class SmartStore {
   // Hierarchy (outer to inner, = increasing LockRank): structure_mu_
   // (kShape) -> one unit lock (kUnit) OR one summary stripe
   // (kSummaryStripe) OR one sync stripe (kSyncStripe) -> { freeze_.mu
-  // (kFreeze) | WAL shard mutexes (kWalShardMap/kWalShard) | cluster mutex
-  // (kCluster) }. At most one unit-lock-or-stripe is ever held at a time
-  // (see striped_locks.h) — the validator's strictly-increasing-rank rule
-  // enforces exactly that, since unit locks and each pool's stripes share
-  // a rank. Structural operations take structure_mu_ exclusively and then
-  // need no finer locks at all.
+  // (kFreeze) | WAL shard mutexes (kWalShardMap/kWalShard) }. At most one
+  // unit-lock-or-stripe is ever held at a time (see striped_locks.h) — the
+  // validator's strictly-increasing-rank rule enforces exactly that, since
+  // unit locks and each pool's stripes share a rank. Structural operations
+  // take structure_mu_ exclusively and then need no finer locks at all.
   //
   // Units get DEDICATED locks (not pool stripes) because the WAL hook
   // fsyncs under them: a shared stripe would make an unrelated hot index

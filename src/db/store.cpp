@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <filesystem>
 #include <functional>
@@ -62,16 +63,19 @@ core::Routing to_core(Routing r) {
                                : core::Routing::kOffline;
 }
 
-QueryStats to_public(const core::QueryStats& s) {
+using Clock = std::chrono::steady_clock;
+
+/// The public stats of a core call that began at `started`: latency is the
+/// call's measured wall-clock time. version_check_s and failed describe a
+/// simulated cluster, which a db::Store never has: they stay 0/false.
+QueryStats to_public(const core::QueryStats& s, Clock::time_point started) {
   QueryStats out;
-  out.latency_s = s.latency_s;
+  out.latency_s = std::chrono::duration<double>(Clock::now() - started).count();
   out.messages = s.messages;
   out.hops = s.hops;
   out.routing_hops = s.routing_hops;
   out.groups_visited = s.groups_visited;
   out.records_scanned = s.records_scanned;
-  out.version_check_s = s.version_check_s;
-  out.failed = s.failed;
   return out;
 }
 
@@ -708,6 +712,7 @@ StatusOr<QueryResult> Store::Query(const QueryRequest& request) {
     if (const auto* p = std::get_if<metadata::PointQuery>(&request.op)) {
       if (p->filename.empty())
         return Status::InvalidArgument("point query needs a filename");
+      const Clock::time_point started = Clock::now();
       const core::PointResult r =
           impl_->core->point_query(*p, routing, 0.0);
       out.kind = QueryKind::kPoint;
@@ -715,7 +720,7 @@ StatusOr<QueryResult> Store::Query(const QueryRequest& request) {
       out.id = r.id;
       out.unit = r.unit;
       out.first_try = r.first_try;
-      out.stats = to_public(r.stats);
+      out.stats = to_public(r.stats, started);
       impl_->point_queries.fetch_add(1, std::memory_order_relaxed);
       if (r.found) impl_->point_hits.fetch_add(1, std::memory_order_relaxed);
     } else if (const auto* rq =
@@ -727,10 +732,11 @@ StatusOr<QueryResult> Store::Query(const QueryRequest& request) {
         return Status::InvalidArgument(
             "range query lo/hi must match the dimension subset");
       }
+      const Clock::time_point started = Clock::now();
       const core::RangeResult r = impl_->core->range_query(*rq, routing, 0.0);
       out.kind = QueryKind::kRange;
       out.ids = r.ids;
-      out.stats = to_public(r.stats);
+      out.stats = to_public(r.stats, started);
       impl_->range_queries.fetch_add(1, std::memory_order_relaxed);
       if (!r.ids.empty())
         impl_->range_hits.fetch_add(1, std::memory_order_relaxed);
@@ -743,11 +749,12 @@ StatusOr<QueryResult> Store::Query(const QueryRequest& request) {
         return Status::InvalidArgument(
             "top-k query point must match the dimension subset");
       }
+      const Clock::time_point started = Clock::now();
       const core::TopKResult r = impl_->core->topk_query(tq, routing, 0.0);
       out.kind = QueryKind::kTopK;
       out.hits = r.hits;
       out.ids = r.ids();
-      out.stats = to_public(r.stats);
+      out.stats = to_public(r.stats, started);
       impl_->topk_queries.fetch_add(1, std::memory_order_relaxed);
       if (!r.hits.empty())
         impl_->topk_hits.fetch_add(1, std::memory_order_relaxed);
@@ -792,13 +799,14 @@ StatusOr<QueryResult> Store::Query(const QueryRequest& request,
     if (const auto* p = std::get_if<metadata::PointQuery>(&request.op)) {
       if (p->filename.empty())
         return Status::InvalidArgument("point query needs a filename");
+      const Clock::time_point started = Clock::now();
       const core::PointResult r = impl_->core->snapshot_point_query(*p, seq);
       out.kind = QueryKind::kPoint;
       out.found = r.found;
       out.id = r.id;
       out.unit = r.unit;
       out.first_try = r.first_try;
-      out.stats = to_public(r.stats);
+      out.stats = to_public(r.stats, started);
     } else if (const auto* rq =
                    std::get_if<metadata::RangeQuery>(&request.op)) {
       if (rq->dims.empty())
@@ -808,10 +816,11 @@ StatusOr<QueryResult> Store::Query(const QueryRequest& request,
         return Status::InvalidArgument(
             "range query lo/hi must match the dimension subset");
       }
+      const Clock::time_point started = Clock::now();
       const core::RangeResult r = impl_->core->snapshot_range_query(*rq, seq);
       out.kind = QueryKind::kRange;
       out.ids = r.ids;
-      out.stats = to_public(r.stats);
+      out.stats = to_public(r.stats, started);
     } else {
       const auto& tq = std::get<metadata::TopKQuery>(request.op);
       if (tq.k == 0) return Status::InvalidArgument("top-k query needs k > 0");
@@ -821,11 +830,12 @@ StatusOr<QueryResult> Store::Query(const QueryRequest& request,
         return Status::InvalidArgument(
             "top-k query point must match the dimension subset");
       }
+      const Clock::time_point started = Clock::now();
       const core::TopKResult r = impl_->core->snapshot_topk_query(tq, seq);
       out.kind = QueryKind::kTopK;
       out.hits = r.hits;
       out.ids = r.ids();
-      out.stats = to_public(r.stats);
+      out.stats = to_public(r.stats, started);
     }
     return out;
   } catch (const std::exception& e) {

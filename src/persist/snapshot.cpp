@@ -618,12 +618,6 @@ struct SnapshotAccess {
 
     s.rebuild_unit_locks();
 
-    // A fresh virtual-time cluster: queue occupancy is runtime state, a
-    // restarted deployment begins with idle queues at time zero.
-    s.cluster_ = std::make_unique<sim::Cluster>(unit_count, cfg.cost);
-    for (std::size_t u = 0; u < unit_count; ++u)
-      if (!s.unit_active_[u]) s.cluster_->set_node_alive(u, false);
-
     if (!s.check_invariants())
       throw PersistError("reassembled deployment fails invariant checks");
     return store;

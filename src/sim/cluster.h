@@ -1,4 +1,5 @@
-// Virtual-time simulation of a decentralized metadata-server cluster.
+// Virtual-time simulation of a decentralized metadata-server cluster, used
+// by the paper-reproduction benches to replay the paper's 60-node testbed.
 //
 // Model: every server ("storage unit") is a FIFO resource with a
 // next-free-at timestamp. A query is a Session whose clock advances through
@@ -6,16 +7,16 @@
 // (network hops). Sessions can fork parallel branches — used for multicast
 // fan-out, where the overall latency is the max over branches — and join.
 //
-// IMPORTANT: nodes are scalar FIFO resources (a next-free-at timestamp),
-// so sessions touching a node must be *started in non-decreasing arrival
-// order*; a session processed later but with an earlier arrival would
-// queue behind work that logically hadn't arrived yet. Experiment drivers
-// interleave background load and queries chronologically. Under the
-// multi-writer serving contract, sessions from concurrent threads are
-// data-race-free (one internal mutex per queue/counter update), but the
-// FIFO model sees them in lock-acquisition order — virtual-time latency
-// numbers from concurrent runs are approximate; throughput benchmarks use
-// wall-clock time instead.
+// A Cluster is single-threaded: one thread starts its sessions, in
+// non-decreasing arrival order (nodes are scalar FIFO resources, so a
+// session processed later but with an earlier arrival would queue behind
+// work that logically hadn't arrived yet). Experiment drivers interleave
+// background load and queries chronologically.
+//
+// A Session built without a cluster (the serving path's default) shares no
+// state with anything: it follows the same routing, counting hops and
+// messages in its own fields, while visits are no-ops, its clock stays at
+// its arrival time and it never fails.
 //
 // This captures the two effects the paper's evaluation hinges on:
 //   * centralization: baselines funnel every query through one node, so
@@ -31,23 +32,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "sim/cost_model.h"
-#include "util/annotated_mutex.h"
-#include "util/thread_annotations.h"
 
 namespace smartstore::sim {
 
 using NodeId = std::size_t;
-
-struct ClusterCounters {
-  std::uint64_t messages = 0;      ///< network messages sent
-  std::uint64_t hops = 0;          ///< inter-node hops (excludes self-sends)
-  std::uint64_t node_visits = 0;   ///< CPU service episodes
-  std::uint64_t records_scanned = 0;
-};
 
 class Cluster;
 
@@ -55,6 +46,9 @@ class Cluster;
 /// copies share the cluster and diverge only in clock and location.
 class Session {
  public:
+  /// A clusterless session at `home`: counts hops and messages only.
+  Session(NodeId home, double arrival) : Session(nullptr, home, arrival) {}
+
   double clock() const { return clock_; }
   NodeId location() const { return at_; }
   std::uint64_t hops() const { return hops_; }
@@ -102,21 +96,7 @@ class Cluster {
  public:
   Cluster(std::size_t num_nodes, CostModel cost = {});
 
-  std::size_t size() const {
-    const util::MutexLock lock(mu_);
-    return free_at_.size();
-  }
-  const CostModel& cost() const { return cost_; }
-  /// Snapshot of the counters (by value: returning a reference would let
-  /// the caller read the struct while a concurrent session mutates it).
-  ClusterCounters counters() const {
-    const util::MutexLock lock(mu_);
-    return counters_;
-  }
-  void reset_counters() {
-    const util::MutexLock lock(mu_);
-    counters_ = {};
-  }
+  std::size_t size() const { return free_at_.size(); }
 
   /// Starts a session at `home` arriving at absolute time `arrival`.
   Session start_session(NodeId home, double arrival);
@@ -124,40 +104,17 @@ class Cluster {
   /// Crashes / revives a node. Visits and sends touching a dead node mark
   /// the session failed.
   void set_node_alive(NodeId n, bool alive);
-  bool node_alive(NodeId n) const {
-    const util::MutexLock lock(mu_);
-    return alive_[n];
-  }
 
   /// Adds a node to the cluster (used when a storage unit is admitted at
   /// runtime, Section 3.2.1). Returns its id.
   NodeId add_node();
 
-  /// Resets all node queues to idle at time zero (counters untouched).
-  void reset_queues();
-
-  /// Busy time accumulated per node (load-balance diagnostics). By value
-  /// for the same reason as counters().
-  std::vector<double> busy_time() const {
-    const util::MutexLock lock(mu_);
-    return busy_time_;
-  }
-
  private:
   friend class Session;
 
   CostModel cost_;
-  /// Sessions on concurrent serving threads race on the node queues and
-  /// counters; the critical sections are a handful of scalar updates, so
-  /// one mutex (taken per visit/send, not per session) is cheap relative
-  /// to the routing and indexing work around it. kCluster ranks above
-  /// every store lock: visits/sends fire from under unit locks and
-  /// stripes, and never call back out while holding this.
-  mutable util::Mutex mu_{util::LockRank::kCluster};
-  std::vector<double> free_at_ SS_GUARDED_BY(mu_);
-  std::vector<double> busy_time_ SS_GUARDED_BY(mu_);
-  std::vector<bool> alive_ SS_GUARDED_BY(mu_);
-  ClusterCounters counters_ SS_GUARDED_BY(mu_);
+  std::vector<double> free_at_;
+  std::vector<bool> alive_;
 };
 
 }  // namespace smartstore::sim

@@ -53,7 +53,6 @@ enum class LockRank : int {
   kWalShard = 54,        ///< per-shard WAL writer mutexes
   kReplBuffer = 56,      ///< replication commit-tap reorder buffer (taken
                          ///< from under a kWalShard mutex by the tap)
-  kCluster = 58,         ///< sim::Cluster queue/counter mutex
   // The service tier (src/rpc, src/svc) sits numerically ABOVE every store
   // rank on purpose: a service-tier lock may therefore NEVER be held while
   // calling down into db::Store (whose lifecycle lock is rank 0) — the
@@ -83,7 +82,6 @@ inline const char* lock_rank_name(LockRank r) {
     case LockRank::kWalShardMap: return "wal-shard-map";
     case LockRank::kWalShard: return "wal-shard";
     case LockRank::kReplBuffer: return "repl-buffer";
-    case LockRank::kCluster: return "cluster";
     case LockRank::kRpcRegistry: return "rpc-registry";
     case LockRank::kSvcCluster: return "svc-cluster";
     case LockRank::kSvcMap: return "svc-map";

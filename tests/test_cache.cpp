@@ -91,6 +91,7 @@ TEST_F(SemanticCacheTest, PrefetchingImprovesHitRateOverLru) {
 }
 
 TEST_F(SemanticCacheTest, PrefetchCostsAreAccounted) {
+  store_->simulate();  // prefetch latency is virtual time
   SemanticPrefetchCache sem(*store_, 64, 4);
   sem.access(trace_.files()[0], 0.0);
   EXPECT_GT(sem.prefetch_latency_total(), 0.0);

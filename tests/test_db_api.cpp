@@ -326,6 +326,45 @@ TEST(DbApi, QueryValidation) {
   EXPECT_TRUE(store->Flush().IsFailedPrecondition());
 }
 
+TEST(DbApi, QueryLatencyIsMeasuredPerCall) {
+  // The CLI's default deployment: the MSN trace at downscale 5 on 20
+  // units. latency_s is the wall-clock time of one call, so it must not
+  // grow with the number of queries served before it.
+  db::Options o;
+  o.num_units = 20;
+  o.in_memory = true;
+  auto opened = db::Store::Open(o, "");
+  ASSERT_TRUE(opened.ok());
+  auto& store = *opened;
+  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
+                                                  /*downscale=*/5);
+  ASSERT_TRUE(store->Bulkload(tr.files()).ok());
+
+  const std::size_t n = 5000;
+  db::QueryStats last;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& f = tr.files()[i % tr.files().size()];
+    auto r = store->Query(db::QueryRequest::Point(f.name));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    last = r->stats;
+  }
+  EXPECT_GE(last.latency_s, 0.0);
+  EXPECT_LT(last.latency_s, 0.1);
+  EXPECT_EQ(last.version_check_s, 0.0);
+  EXPECT_FALSE(last.failed);
+
+  // The pinned-snapshot overload reports the same measured quantity.
+  auto snap = store->GetSnapshot();
+  ASSERT_TRUE(snap.ok());
+  db::ReadOptions ro;
+  ro.snapshot_seq = snap->sequence();
+  auto pinned = store->Query(db::QueryRequest::Point(tr.files()[0].name), ro);
+  ASSERT_TRUE(pinned.ok());
+  EXPECT_TRUE(pinned->found);
+  EXPECT_GE(pinned->stats.latency_s, 0.0);
+  EXPECT_LT(pinned->stats.latency_s, 0.1);
+}
+
 // ---- fault injection through the boundary -----------------------------------
 
 TEST(DbApi, InjectedFaultPoisonsStoreAndRecovers) {

@@ -1,5 +1,6 @@
 // Tests for the virtual-time cluster simulation: latency accounting,
-// FIFO queuing, multicast join semantics, failure injection.
+// FIFO queuing, multicast join semantics, failure injection, and the
+// clusterless sessions the serving path routes with.
 #include "sim/cluster.h"
 
 #include <gtest/gtest.h>
@@ -79,21 +80,6 @@ TEST(Cluster, ForkJoinTakesMaxOfBranches) {
   EXPECT_EQ(s.messages(), 3u);
 }
 
-TEST(Cluster, CountersAccumulate) {
-  Cluster c(3, test_cost());
-  c.reset_counters();
-  Session s = c.start_session(0, 0.0);
-  s.send_to(1);
-  s.visit(0.1, 50);
-  s.send_to(2);
-  EXPECT_EQ(c.counters().messages, 2u);
-  EXPECT_EQ(c.counters().hops, 2u);
-  EXPECT_EQ(c.counters().node_visits, 1u);
-  EXPECT_EQ(c.counters().records_scanned, 50u);
-  c.reset_counters();
-  EXPECT_EQ(c.counters().messages, 0u);
-}
-
 TEST(Cluster, DeadNodeFailsSessions) {
   Cluster c(3, test_cost());
   c.set_node_alive(1, false);
@@ -131,16 +117,42 @@ TEST(Cluster, AddNodeGrowsCluster) {
   EXPECT_FALSE(s.failed());
 }
 
-TEST(Cluster, BusyTimeTracksLoad) {
-  Cluster c(2, test_cost());
-  Session s = c.start_session(0, 0.0);
-  s.visit(0.25);
-  s.send_to(1);
-  s.visit(0.5);
-  EXPECT_DOUBLE_EQ(c.busy_time()[0], 0.25);
-  EXPECT_DOUBLE_EQ(c.busy_time()[1], 0.5);
-  c.reset_queues();
-  EXPECT_DOUBLE_EQ(c.busy_time()[0], 0.0);
+// One routed operation: a hop to a group, a multicast to its members with
+// one self-send and one nested fork, then a hop back. Returns the session.
+Session route(Session s) {
+  s.visit(0.01);
+  s.send_to(2);
+  s.visit(0.02, 10);
+  std::vector<Session> branches;
+  for (NodeId n : {1, 2, 3}) {
+    Session b = s.fork();
+    b.send_to(n);
+    b.visit(0.01, 5);
+    if (n == 3) {
+      Session inner = b.fork();
+      inner.send_to(0);
+      b.join({inner});
+    }
+    branches.push_back(b);
+  }
+  s.join(branches);
+  s.send_to(0);
+  return s;
+}
+
+TEST(Cluster, ClusterlessSessionCountsLikeClustered) {
+  Cluster c(4, test_cost());
+  const Session clustered = route(c.start_session(1, 5.0));
+  const Session clusterless = route(Session(1, 5.0));
+  EXPECT_EQ(clusterless.hops(), clustered.hops());
+  EXPECT_EQ(clusterless.messages(), clustered.messages());
+  EXPECT_EQ(clusterless.location(), clustered.location());
+  EXPECT_EQ(clusterless.hops(), 5u);  // 1->2, 2->1, 2->3, 3->0, 2->0
+  // No cluster: no queues to wait on, no clock to advance, nothing to fail.
+  EXPECT_GT(clustered.clock(), 5.0);
+  EXPECT_DOUBLE_EQ(clusterless.clock(), 5.0);
+  EXPECT_FALSE(clustered.failed());
+  EXPECT_FALSE(clusterless.failed());
 }
 
 TEST(Cluster, TransferTimeScalesWithBytes) {

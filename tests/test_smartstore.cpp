@@ -307,7 +307,8 @@ TEST_F(SmartStoreTest, RemoveStorageUnitRedistributesFiles) {
 TEST_F(SmartStoreTest, NodeFailureMarksQueries) {
   // Crash half the units; some queries must report failure rather than
   // silently succeeding.
-  for (UnitId u = 0; u < 10; ++u) store_->cluster().set_node_alive(u, false);
+  sim::Cluster& cluster = store_->simulate();
+  for (UnitId u = 0; u < 10; ++u) cluster.set_node_alive(u, false);
   int failed = 0;
   trace::QueryGenerator gen(trace_, trace::QueryDistribution::kUniform, 9);
   for (int i = 0; i < 40; ++i) {
@@ -315,7 +316,7 @@ TEST_F(SmartStoreTest, NodeFailureMarksQueries) {
     if (store_->range_query(q, Routing::kOffline, 0.0).stats.failed) ++failed;
   }
   EXPECT_GT(failed, 0);
-  for (UnitId u = 0; u < 10; ++u) store_->cluster().set_node_alive(u, true);
+  for (UnitId u = 0; u < 10; ++u) cluster.set_node_alive(u, true);
 }
 
 TEST_F(SmartStoreTest, AutoconfigureKeepsDistinctVariants) {
@@ -340,12 +341,64 @@ TEST_F(SmartStoreTest, AutoconfigureKeepsDistinctVariants) {
 }
 
 TEST_F(SmartStoreTest, LatencyAndMessagesArePositive) {
+  store_->simulate();
   trace::QueryGenerator gen(trace_, trace::QueryDistribution::kGauss, 10);
   const auto q = gen.gen_topk(AttrSubset::all(), 8);
   const auto res = store_->topk_query(q, Routing::kOffline, 0.0);
   EXPECT_GT(res.stats.latency_s, 0.0);
   EXPECT_GT(res.stats.messages, 0u);
   EXPECT_GE(res.stats.groups_visited, 1u);
+}
+
+TEST_F(SmartStoreTest, SimulationChangesOnlyTime) {
+  // A simulated twin routes exactly like the clusterless store: the same
+  // answers, messages, hops and groups — only latency differs. Each store
+  // runs its whole sequence in turn, so both draw the same home units.
+  struct Op {
+    std::vector<FileId> ids;
+    QueryStats stats;
+  };
+  auto run = [&](SmartStore& store) {
+    trace::QueryGenerator gen(trace_, trace::QueryDistribution::kZipf, 12);
+    const auto inserts = trace_.make_insert_stream(40, 13);
+    std::vector<Op> ops;
+    for (int i = 0; i < 40; ++i) {
+      const double at = static_cast<double>(i);
+      ops.push_back({{}, store.insert_file(inserts[i], at)});
+      for (const Routing r : {Routing::kOffline, Routing::kOnline}) {
+        const auto p = store.point_query(gen.gen_point(0.9), r, at);
+        ops.push_back({{p.found ? p.id : 0}, p.stats});
+        const auto rr =
+            store.range_query(gen.gen_range(AttrSubset::all(), 0.1), r, at);
+        ops.push_back({rr.ids, rr.stats});
+        const auto t = store.topk_query(gen.gen_topk(AttrSubset::all(), 6),
+                                        r, at);
+        ops.push_back({t.ids(), t.stats});
+      }
+    }
+    return ops;
+  };
+  const std::vector<Op> plain = run(*store_);
+  SmartStore twin(small_config());
+  twin.build(trace_.files());
+  twin.simulate();
+  const std::vector<Op> simulated = run(twin);
+
+  ASSERT_EQ(plain.size(), simulated.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    const QueryStats& a = plain[i].stats;
+    const QueryStats& b = simulated[i].stats;
+    EXPECT_EQ(plain[i].ids, simulated[i].ids) << "op " << i;
+    EXPECT_EQ(a.messages, b.messages) << "op " << i;
+    EXPECT_EQ(a.hops, b.hops) << "op " << i;
+    EXPECT_EQ(a.groups_visited, b.groups_visited) << "op " << i;
+    EXPECT_EQ(a.routing_hops, b.routing_hops) << "op " << i;
+    EXPECT_EQ(a.latency_s, 0.0) << "op " << i;
+    EXPECT_FALSE(a.failed);
+    if (b.messages > 0) {
+      EXPECT_GT(b.latency_s, 0.0) << "op " << i;
+    }
+  }
 }
 
 TEST(SmartStoreEdge, EmptyStoreQueries) {
