@@ -21,6 +21,83 @@ constexpr std::size_t kQueryMsgBytes = 256;
 /// Process-wide store instance ids, so per-thread RNG streams can tell
 /// apart two stores that happen to occupy the same address over time.
 std::atomic<std::uint64_t> g_next_store_id{1};
+
+/// A query's dims with the standardizer constants hoisted. Records keep
+/// raw attrs only, so scans derive each z-score on the fly, for the
+/// query's dims alone. (attr - mean) * inv_stdev is the expression
+/// RowStandardizer::transform and core::brute_force_* use, so a derived
+/// coordinate equals a stored one bit for bit.
+class QueryScale {
+ public:
+  QueryScale(const la::RowStandardizer& st,
+             const std::vector<std::size_t>& dims)
+      : n_(dims.size()) {
+    assert(n_ <= kNumAttrs);
+    for (std::size_t j = 0; j < n_; ++j) {
+      dims_[j] = dims[j];
+      mean_[j] = st.means[dims[j]];
+      inv_[j] = st.inv_stdevs[dims[j]];
+    }
+  }
+
+  /// z-score of `f` on the query's j-th dim.
+  double z(const FileMetadata& f, std::size_t j) const {
+    return (f.attrs[dims_[j]] - mean_[j]) * inv_[j];
+  }
+
+  /// Whether `f` lies in the standardized query box [lo, hi].
+  bool in_box(const FileMetadata& f, const double* lo,
+              const double* hi) const {
+    for (std::size_t j = 0; j < n_; ++j) {
+      const double v = z(f, j);
+      if (v < lo[j] || v > hi[j]) return false;
+    }
+    return true;
+  }
+
+  /// Squared distance from `f` to the standardized query point.
+  double dist2(const FileMetadata& f, const double* point) const {
+    double dist = 0.0;
+    for (std::size_t j = 0; j < n_; ++j) {
+      const double delta = z(f, j) - point[j];
+      dist += delta * delta;
+    }
+    return dist;
+  }
+
+ private:
+  std::size_t n_;
+  std::array<std::size_t, kNumAttrs> dims_{};
+  std::array<double, kNumAttrs> mean_{};
+  std::array<double, kNumAttrs> inv_{};
+};
+
+/// Scans one unit for range matches (fresh, exact).
+void unit_range_scan(const StorageUnit& u, const QueryScale& scale,
+                     const la::Vector& lo, const la::Vector& hi,
+                     std::vector<FileId>& out) {
+  for (const FileMetadata& f : u.files())
+    if (scale.in_box(f, lo.data(), hi.data())) out.push_back(f.id);
+}
+
+/// Local exact top-k within a unit; `heap` is a max-heap of the best k
+/// candidates found so far.
+void unit_topk_scan(const StorageUnit& u, const QueryScale& scale,
+                    const la::Vector& point, std::size_t k,
+                    std::vector<std::pair<double, FileId>>& heap) {
+  for (const FileMetadata& f : u.files()) {
+    const double dist = scale.dist2(f, point.data());
+    if (heap.size() < k) {
+      heap.emplace_back(dist, f.id);
+      std::push_heap(heap.begin(), heap.end());
+    } else if (dist < heap.front().first) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = {dist, f.id};
+      std::push_heap(heap.begin(), heap.end());
+    }
+  }
+}
+
 }  // namespace
 
 SmartStore::SmartStore(Config cfg)
@@ -164,7 +241,7 @@ void SmartStore::rebuild_unit_locks() {
   // unique_ptrs.
   unit_mu_.resize(units_.size());
   for (auto& mu : unit_mu_)
-    if (!mu) mu = std::make_unique<util::Mutex>(util::LockRank::kUnit);
+    if (!mu) mu = std::make_unique<util::SharedMutex>(util::LockRank::kUnit);
   unit_dirty_.resize(units_.size());
   for (auto& d : unit_dirty_)
     if (!d) d = std::make_unique<std::atomic<std::uint64_t>>(0);
@@ -304,23 +381,36 @@ void SmartStore::refresh_sync_groups() {
 }
 
 util::Rng& SmartStore::thread_rng() const {
-  // One stream per (thread, store): reseeded when this thread first draws
-  // for this store, from the store seed and a monotonic stream id — so
-  // single-threaded runs stay reproducible (stream 1, always) and
+  // One stream per (thread, store) for as long as the store lives: seeded
+  // when this thread first draws for this store, from the store seed and
+  // the store's monotonic stream id — so single-threaded runs stay
+  // reproducible (stream 1, always), a thread that alternates between
+  // stores routes each exactly as if it drove that store alone, and
   // concurrent threads draw from uncorrelated streams without sharing any
   // mutable state. Keyed by the store's instance id, not its address — an
   // address can be reused by a later store, which must get fresh streams.
-  // Streams are runtime-only: the persisted rng is the store rng, and the
-  // freeze captures the stream counter for diagnostics.
-  thread_local std::uint64_t owner = 0;
-  thread_local util::Rng rng;
-  if (owner != store_id_) {
-    owner = store_id_;
-    const std::uint64_t stream =
-        rng_streams_.fetch_add(1, std::memory_order_relaxed) + 1;
-    rng.reseed(cfg_.seed ^ (0x9E3779B97F4A7C15ULL * stream));
-  }
-  return rng;
+  // Streams of stores that are gone are dropped whenever this thread adds
+  // one, so it holds at most one per live store it has drawn for. Streams
+  // are runtime-only: the persisted rng is the store rng, and the freeze
+  // captures the stream counter for diagnostics.
+  struct Stream {
+    std::uint64_t store;
+    std::weak_ptr<const void> alive;
+    util::Rng rng;
+  };
+  thread_local std::vector<Stream> streams;
+  thread_local std::size_t last = 0;
+  if (last < streams.size() && streams[last].store == store_id_)
+    return streams[last].rng;
+  for (last = 0; last < streams.size(); ++last)
+    if (streams[last].store == store_id_) return streams[last].rng;
+  std::erase_if(streams, [](const Stream& st) { return st.alive.expired(); });
+  const std::uint64_t stream =
+      rng_streams_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::uint64_t seed = cfg_.seed ^ (0x9E3779B97F4A7C15ULL * stream);
+  streams.push_back({store_id_, alive_, util::Rng(seed)});
+  last = streams.size() - 1;
+  return streams.back().rng;
 }
 
 UnitId SmartStore::random_home() {
@@ -406,47 +496,6 @@ double SmartStore::box_min_dist2(const rtree::Mbr& box,
     acc += delta * delta;
   }
   return acc;
-}
-
-void SmartStore::unit_range_scan(const StorageUnit& u,
-                                 const std::vector<std::size_t>& dim_idx,
-                                 const la::Vector& lo, const la::Vector& hi,
-                                 std::vector<FileId>& out) const {
-  for (std::size_t i = 0; i < u.file_count(); ++i) {
-    const auto coords = u.std_coords(i);
-    bool ok = true;
-    for (std::size_t j = 0; j < dim_idx.size(); ++j) {
-      const double v = coords[dim_idx[j]];
-      if (v < lo[j] || v > hi[j]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out.push_back(u.files()[i].id);
-  }
-}
-
-void SmartStore::unit_topk_scan(
-    const StorageUnit& u, const std::vector<std::size_t>& dim_idx,
-    const la::Vector& point, std::size_t k,
-    std::vector<std::pair<double, FileId>>& heap) const {
-  // `heap` is a max-heap of the best k candidates found so far.
-  for (std::size_t i = 0; i < u.file_count(); ++i) {
-    const auto coords = u.std_coords(i);
-    double dist = 0.0;
-    for (std::size_t j = 0; j < dim_idx.size(); ++j) {
-      const double delta = coords[dim_idx[j]] - point[j];
-      dist += delta * delta;
-    }
-    if (heap.size() < k) {
-      heap.emplace_back(dist, u.files()[i].id);
-      std::push_heap(heap.begin(), heap.end());
-    } else if (dist < heap.front().first) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = {dist, u.files()[i].id};
-      std::push_heap(heap.begin(), heap.end());
-    }
-  }
 }
 
 // ---- routing ---------------------------------------------------------------
@@ -651,7 +700,7 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
     const UnitId u = group.children[(start + k) % nchild];
     std::size_t count;
     {
-      const util::MutexLock guard(unit_mutex(u));
+      const util::ReaderLock guard(unit_mutex(u));
       count = units_[u].file_count();
     }
     if (count < target_count) {
@@ -671,7 +720,7 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
   // ancestor stripes and the group sync stripe all reuse it.
   const bloom::ItemHash name_hash = bloom::hash_item(f.name);
   {
-    const util::MutexLock guard(unit_mutex(target));
+    const util::WriterLock guard(unit_mutex(target));
     // Stamp and apply in ONE critical section: a snapshot reader that pins
     // seq S and then scans this unit either blocks here (and sees the
     // record) or runs after the apply — no mutation with seq <= S can land
@@ -737,7 +786,7 @@ bool SmartStore::remove_located(UnitId u, FileId id, const std::string& name,
   epoch_.fetch_add(1, std::memory_order_relaxed);
   la::Vector raw;
   {
-    const util::MutexLock guard(unit_mutex(u));
+    const util::WriterLock guard(unit_mutex(u));
     const metadata::FileMetadata* f = units_[u].find_by_id(id);
     if (!f || f->name != name) return false;  // lost a delete race
     const std::uint64_t seq = commit_stamp(logged ? logged(u) : 0);
@@ -777,7 +826,7 @@ bool SmartStore::erase_file_impl(const std::string& name,
     FileId id = 0;
     bool found = false;
     {
-      const util::MutexLock guard(unit_mutex(u));
+      const util::ReaderLock guard(unit_mutex(u));
       if (const metadata::FileMetadata* f = units_[u].find_by_name(name)) {
         id = f->id;
         found = true;
@@ -812,7 +861,7 @@ PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
   // the requester itself stores resolve with zero messages.
   session.visit(cfg_.cost.per_bloom_check_s);
   {
-    const util::MutexLock guard(unit_mutex(home));
+    const util::ReaderLock guard(unit_mutex(home));
     if (units_[home].name_filter().may_contain(qhash)) {
       session.visit(cfg_.cost.per_node_visit_s);
       if (const auto* f = units_[home].find_by_name(q.filename)) {
@@ -836,7 +885,7 @@ PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
     const IndexUnit& group = tree_.node(g);
     std::vector<sim::Session> branches;
     for (UnitId u : group.children) {
-      const util::MutexLock guard(unit_mutex(u));
+      const util::ReaderLock guard(unit_mutex(u));
       if (!units_[u].name_filter().may_contain(qhash)) continue;
       sim::Session b = session.fork();
       b.send_to(u, kQueryMsgBytes);
@@ -973,6 +1022,7 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
   std::vector<std::size_t> dim_idx;
   la::Vector lo, hi;
   standardize_range(q, dim_idx, lo, hi);
+  const QueryScale scale(standardizer_, dim_idx);
 
   sim::Session session = start_session(arrival);
   const UnitId home = session.location();
@@ -995,14 +1045,14 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
     const std::size_t before = res.ids.size();
     std::vector<sim::Session> branches;
     for (UnitId u : group.children) {
-      // Box check and scan under one stripe hold: the records and their
-      // coordinates stay consistent for the duration of the local scan.
-      const util::MutexLock guard(unit_mutex(u));
+      // Box check and scan under one shared hold: the records and the box
+      // stay consistent for the duration of the local scan.
+      const util::ReaderLock guard(unit_mutex(u));
       if (!box_intersects(units_[u].box(), dim_idx, lo, hi)) continue;
       sim::Session b = s.fork();
       b.send_to(u, kQueryMsgBytes);
       b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
-      unit_range_scan(units_[u], dim_idx, lo, hi, res.ids);
+      unit_range_scan(units_[u], scale, lo, hi, res.ids);
       branches.push_back(b);
     }
     s.join(branches);
@@ -1079,6 +1129,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
   TopKResult res;
   std::vector<std::size_t> dim_idx;
   const la::Vector point = standardize_point(q, dim_idx);
+  const QueryScale scale(standardizer_, dim_idx);
 
   sim::Session session = start_session(arrival);
   const UnitId home = session.location();
@@ -1105,7 +1156,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
     bool contributed = false;
     std::vector<sim::Session> branches;
     for (UnitId u : group.children) {
-      const util::MutexLock guard(unit_mutex(u));
+      const util::ReaderLock guard(unit_mutex(u));
       if (box_min_dist2(units_[u].box(), dim_idx, point) >= max_d() &&
           heap.size() >= q.k)
         continue;
@@ -1114,7 +1165,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
       b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
       const std::size_t before = heap.size();
       const double before_worst = max_d();
-      unit_topk_scan(units_[u], dim_idx, point, q.k, heap);
+      unit_topk_scan(units_[u], scale, point, q.k, heap);
       if (heap.size() > before || max_d() < before_worst) contributed = true;
       branches.push_back(b);
     }
@@ -1451,7 +1502,7 @@ std::size_t SmartStore::tombstone_count() const {
   util::ReaderLock shared(structure_mu_);
   std::size_t n = 0;
   for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
+    const util::ReaderLock guard(unit_mutex(u));
     n += units_[u].tombstones().size();
   }
   return n;
@@ -1475,7 +1526,7 @@ std::size_t SmartStore::snapshot_file_count(std::uint64_t seq) const {
   util::ReaderLock shared(structure_mu_);
   std::size_t n = 0;
   for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
+    const util::ReaderLock guard(unit_mutex(u));
     const StorageUnit& unit = units_[u];
     const auto& seqs = unit.added_seqs();
     for (std::size_t i = 0; i < seqs.size(); ++i)
@@ -1491,7 +1542,7 @@ std::vector<metadata::FileMetadata> SmartStore::snapshot_dump(
   util::ReaderLock shared(structure_mu_);
   std::vector<metadata::FileMetadata> out;
   for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
+    const util::ReaderLock guard(unit_mutex(u));
     const StorageUnit& unit = units_[u];
     const auto& files = unit.files();
     const auto& seqs = unit.added_seqs();
@@ -1522,7 +1573,7 @@ PointResult SmartStore::snapshot_point_impl(const metadata::PointQuery& q,
   // by smallest id — independent of unit visit order and writer timing.
   std::uint64_t best_added = 0;
   for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
+    const util::ReaderLock guard(unit_mutex(u));
     const StorageUnit& unit = units_[u];
     const auto& files = unit.files();
     const auto& seqs = unit.added_seqs();
@@ -1561,26 +1612,28 @@ RangeResult SmartStore::snapshot_range_impl(const metadata::RangeQuery& q,
   std::vector<std::size_t> dim_idx;
   la::Vector lo, hi;
   standardize_range(q, dim_idx, lo, hi);
-
-  auto in_box = [&](std::span<const double> c) {
-    for (std::size_t j = 0; j < dim_idx.size(); ++j) {
-      const double v = c[dim_idx[j]];
-      if (v < lo[j] || v > hi[j]) return false;
-    }
-    return true;
-  };
+  const QueryScale scale(standardizer_, dim_idx);
 
   for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
+    const util::ReaderLock guard(unit_mutex(u));
     const StorageUnit& unit = units_[u];
-    const auto& seqs = unit.added_seqs();
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
-      if (!live_visible(seqs[i], seq)) continue;
-      if (in_box(unit.std_coords(i))) res.ids.push_back(unit.files()[i].id);
+    // The unit box covers every live record (only add_file touches it, and
+    // only to widen it), so a box that misses the query holds no live hit.
+    // Tombstones may lie outside it — a unit rebuilt from a snapshot boxes
+    // its live records alone — so they are checked whatever the box says.
+    if (box_intersects(unit.box(), dim_idx, lo, hi)) {
+      const auto& files = unit.files();
+      const auto& seqs = unit.added_seqs();
+      for (std::size_t i = 0; i < files.size(); ++i) {
+        if (!live_visible(seqs[i], seq)) continue;
+        if (scale.in_box(files[i], lo.data(), hi.data()))
+          res.ids.push_back(files[i].id);
+      }
     }
     for (const auto& t : unit.tombstones()) {
       if (!dead_visible(t, seq)) continue;
-      if (in_box(t.std_coords)) res.ids.push_back(t.file.id);
+      if (scale.in_box(t.file, lo.data(), hi.data()))
+        res.ids.push_back(t.file.id);
     }
   }
   // Canonical order: sorted ids, so two scans at the same seq compare ==.
@@ -1600,28 +1653,21 @@ TopKResult SmartStore::snapshot_topk_impl(const metadata::TopKQuery& q,
   TopKResult res;
   std::vector<std::size_t> dim_idx;
   const la::Vector point = standardize_point(q, dim_idx);
-
-  auto dist2 = [&](std::span<const double> c) {
-    double d = 0.0;
-    for (std::size_t j = 0; j < dim_idx.size(); ++j) {
-      const double delta = c[dim_idx[j]] - point[j];
-      d += delta * delta;
-    }
-    return d;
-  };
+  const QueryScale scale(standardizer_, dim_idx);
 
   std::vector<std::pair<double, FileId>> all;
   for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
+    const util::ReaderLock guard(unit_mutex(u));
     const StorageUnit& unit = units_[u];
+    const auto& files = unit.files();
     const auto& seqs = unit.added_seqs();
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
+    for (std::size_t i = 0; i < files.size(); ++i) {
       if (!live_visible(seqs[i], seq)) continue;
-      all.emplace_back(dist2(unit.std_coords(i)), unit.files()[i].id);
+      all.emplace_back(scale.dist2(files[i], point.data()), files[i].id);
     }
     for (const auto& t : unit.tombstones()) {
       if (!dead_visible(t, seq)) continue;
-      all.emplace_back(dist2(t.std_coords), t.file.id);
+      all.emplace_back(scale.dist2(t.file, point.data()), t.file.id);
     }
   }
   // Exact global order with (dist, id) tie-break, then truncate: canonical.
@@ -1644,7 +1690,7 @@ SmartStore::Introspection SmartStore::introspect(std::uint64_t seq) const {
 
   std::size_t active = 0;
   for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
+    const util::ReaderLock guard(unit_mutex(u));
     const StorageUnit& unit = units_[u];
     const auto& seqs = unit.added_seqs();
     for (std::size_t i = 0; i < seqs.size(); ++i)

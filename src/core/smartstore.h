@@ -137,7 +137,7 @@ struct TreeVariant {
 class SmartStore {
  public:
   /// Write-ahead hook: invoked with the routed target storage unit while
-  /// that unit's stripe lock is held, after routing and before the
+  /// that unit's lock is held exclusively, after routing and before the
   /// in-memory apply. This is where the persistence layer appends the
   /// record to the target unit's WAL shard — under the same lock that
   /// orders the apply, so per-shard log order always equals per-unit apply
@@ -247,9 +247,11 @@ class SmartStore {
   /// Exact exhaustive reads at a pinned seq. Unlike the routed queries
   /// above they do not simulate network placement: each visits every unit
   /// (including deactivated ones, whose tombstone chains may still be
-  /// visible) under that unit's lock, one at a time, and returns canonical
-  /// (sorted) results — two scans at the same seq are bit-identical no
-  /// matter what writers do in between.
+  /// visible) under that unit's shared lock, one at a time, and returns
+  /// canonical (sorted) results — two scans at the same seq are
+  /// bit-identical no matter what writers do in between. A range scan
+  /// skips the live records of a unit whose box misses the query box (the
+  /// box covers every live record); tombstones are always checked.
   PointResult snapshot_point_query(const metadata::PointQuery& q,
                                    std::uint64_t seq) const;
   RangeResult snapshot_range_query(const metadata::RangeQuery& q,
@@ -483,10 +485,10 @@ class SmartStore {
 
   /// Copies storage unit `u` into the frozen view if a checkpoint is active
   /// and the unit has not yet been serialized or copied. Caller must hold
-  /// unit `u`'s lock (the tree/variants/sync structures are captured
-  /// eagerly at freeze time, so units are the only lazily copied pieces) —
-  /// enforced at runtime via assert_held, since the per-unit locks are
-  /// picked by index and TSA cannot name them.
+  /// unit `u`'s lock exclusively (the tree/variants/sync structures are
+  /// captured eagerly at freeze time, so units are the only lazily copied
+  /// pieces) — enforced at runtime via assert_held, since the per-unit
+  /// locks are picked by index and TSA cannot name them.
   void cow_unit(UnitId u);
   /// Freezes every unit still pending: required before structural changes
   /// (unit admission/removal reallocates units_, invalidating the
@@ -546,10 +548,12 @@ class SmartStore {
   /// commit counter to it), otherwise self-assigns the next counter value.
   std::uint64_t commit_stamp(std::uint64_t wal_seq);
 
-  /// The calling thread's private RNG stream, lazily seeded from the store
-  /// seed and a monotonic stream id — queries draw home units without
-  /// contending on any store-wide state (the store rng serves only the
-  /// single-threaded build/reconfiguration paths and the snapshot).
+  /// The calling thread's private RNG stream for this store, lazily seeded
+  /// from the store seed and a monotonic stream id and kept while the store
+  /// lives — queries draw home units without contending on any store-wide
+  /// state (the store rng serves only the single-threaded
+  /// build/reconfiguration paths and the snapshot). The reference is valid
+  /// until this thread next draws for another store.
   util::Rng& thread_rng() const;
 
   UnitId random_home() SS_REQUIRES_SHARED(structure_mu_);
@@ -621,18 +625,6 @@ class SmartStore {
                               const std::vector<std::size_t>& dim_idx,
                               const la::Vector& point);
 
-  /// Scans one unit for range matches (fresh, exact).
-  void unit_range_scan(const StorageUnit& u,
-                       const std::vector<std::size_t>& dim_idx,
-                       const la::Vector& lo, const la::Vector& hi,
-                       std::vector<metadata::FileId>& out) const;
-  /// Local exact top-k within a unit.
-  void unit_topk_scan(const StorageUnit& u,
-                      const std::vector<std::size_t>& dim_idx,
-                      const la::Vector& point, std::size_t k,
-                      std::vector<std::pair<double, metadata::FileId>>& heap)
-      const;
-
   /// Figure 8 metric: tree distance between the primary result group and
   /// the farthest other result group (0 when a single group sufficed).
   int routing_distance(const SemanticRTree& t,
@@ -674,6 +666,9 @@ class SmartStore {
   mutable std::atomic<std::uint64_t> rng_streams_{0};
   /// Process-unique instance id (per-thread RNG stream ownership key).
   std::uint64_t store_id_ = 0;
+  /// Expires with the store: lets a thread drop its streams for stores
+  /// that are gone.
+  std::shared_ptr<const void> alive_ = std::make_shared<char>(0);
   std::atomic<std::size_t> total_files_{0};
   std::atomic<std::uint64_t> epoch_{0};  ///< mutation counter
 
@@ -708,6 +703,13 @@ class SmartStore {
   // unit locks and each pool's stripes share a rank. Structural operations
   // take structure_mu_ exclusively and then need no finer locks at all.
   //
+  // A unit lock (kUnit) is a reader/writer lock: readers of a unit's
+  // records (every scan, routed or pinned; point probes; the insert path's
+  // least-loaded count reads; erase's locate; introspection, dumps and
+  // tombstone counts) share it, so a probe never waits behind a scan.
+  // Mutations (add_file/remove_file with their commit stamp, the
+  // copy-on-write and the WAL append hook) hold it exclusively.
+  //
   // Units get DEDICATED locks (not pool stripes) because the WAL hook
   // fsyncs under them: a shared stripe would make an unrelated hot index
   // node or replica — every insert touches the root and its group's sync
@@ -724,9 +726,12 @@ class SmartStore {
   /// distinct pools keep an unlucky hash collision from ever aliasing the
   /// two domains onto one mutex.
   mutable StripedMutexPool sync_stripes_{util::LockRank::kSyncStripe};
-  /// One mutex per storage unit, parallel to units_ (stable addresses;
-  /// reshaped only under the exclusive structure lock).
-  mutable std::vector<std::unique_ptr<util::Mutex>> unit_mu_;
+  /// One reader/writer mutex per storage unit, parallel to units_ (stable
+  /// addresses; reshaped only under the exclusive structure lock). Scans,
+  /// point probes, the insert path's count reads, locates and introspection
+  /// take it shared; add_file/remove_file, copy-on-write and the WAL append
+  /// hook run under it exclusively.
+  mutable std::vector<std::unique_ptr<util::SharedMutex>> unit_mu_;
   /// Per-unit dirty watermark, parallel to unit_mu_ (heap-stable for the
   /// same reason): commit seq of the unit's last fresh-stamped mutation.
   /// Written under that unit's lock, read by the delta engine inside a
@@ -738,7 +743,7 @@ class SmartStore {
   /// lock; monotonic, so a plain store under the lock suffices).
   void mark_unit_dirty(UnitId u, std::uint64_t seq);
 
-  util::Mutex& unit_mutex(UnitId u) const { return *unit_mu_[u]; }
+  util::SharedMutex& unit_mutex(UnitId u) const { return *unit_mu_[u]; }
   /// Re-sizes unit_mu_ to match units_ (build, snapshot assembly, unit
   /// admission). Caller holds the exclusive structure lock or is still
   /// single-threaded construction.

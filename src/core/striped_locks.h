@@ -3,8 +3,10 @@
 //
 // The store's coarse shape (which units exist, tree topology, the variant
 // list) is guarded by a reader/writer structure lock; storage-unit records
-// get DEDICATED per-unit mutexes (the WAL hook may fsync under them, so
-// they must never alias anything else); the remaining shared state every
+// get DEDICATED per-unit reader/writer locks (kUnit: shared for reads —
+// scans, probes, count reads, locates — and exclusive for mutations and
+// the WAL append hook, which may fsync under them, so they must never
+// alias anything else); the remaining shared state every
 // insert touches is guarded here, striped by object address, in two pools
 // with distinct ranks: an index unit's MBR/Bloom/centroid sums
 // (kSummaryStripe) and a group's replica sync state (kSyncStripe).
@@ -70,6 +72,8 @@ class StripedMutexPool {
                    util::lock_rank_name(rank_));
       std::abort();
     }
+#else
+    (void)p;
 #endif
   }
 

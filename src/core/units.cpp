@@ -67,7 +67,6 @@ void StorageUnit::add_file(const FileMetadata& f, const la::Vector& std_coords,
   const std::size_t pos = files_.size();
   assert(pos < static_cast<std::uint32_t>(-1));
   files_.push_back(f);
-  coords_.insert(coords_.end(), std_coords.begin(), std_coords.end());
   added_seqs_.push_back(added_seq);
   const FileMetadata& added = files_.back();
   by_name_.assign(name_key(added.name), pos, name_is(added.name));
@@ -87,13 +86,7 @@ std::optional<FileMetadata> StorageUnit::remove_file(
   if (deleted_seq > 0) {
     // Version chain: snapshots pinned before the delete still see this
     // record. The caller prunes against the GC watermark.
-    TombstoneRecord t;
-    t.file = removed;
-    const auto c = std_coords(pos);
-    t.std_coords.assign(c.begin(), c.end());
-    t.added_seq = added_seqs_[pos];
-    t.deleted_seq = deleted_seq;
-    tombstones_.push_back(std::move(t));
+    tombstones_.push_back({removed, added_seqs_[pos], deleted_seq});
   }
 
   name_filter_.remove(name_hash);
@@ -110,12 +103,9 @@ std::optional<FileMetadata> StorageUnit::remove_file(
     by_name_.assign(name_key(moved.name), pos, name_is(moved.name));
     by_id_.assign(id_key(moved.id), pos, id_is(moved.id));
     files_[pos] = std::move(files_[last]);
-    std::copy_n(coords_.begin() + last * kNumAttrs, kNumAttrs,
-                coords_.begin() + pos * kNumAttrs);
     added_seqs_[pos] = added_seqs_[last];
   }
   files_.pop_back();
-  coords_.resize(coords_.size() - kNumAttrs);
   added_seqs_.pop_back();
   return removed;
 }
@@ -152,14 +142,18 @@ la::Vector StorageUnit::centroid_raw() const {
 }
 
 std::size_t StorageUnit::byte_size() const {
-  std::size_t b = sizeof(*this);
+  // Modeled coordinates, charged though not held: a flat array (header +
+  // kNumAttrs doubles per record) and a kNumAttrs-double vector per
+  // tombstone, so the paper's space figures keep their record model.
+  constexpr std::size_t kCoordBytes = kNumAttrs * sizeof(double);
+  std::size_t b = sizeof(*this) + sizeof(std::vector<double>);
   for (const auto& f : files_) b += f.byte_size();
-  b += coords_.size() * sizeof(double);
+  b += files_.size() * kCoordBytes;
   b += by_name_.byte_size() + by_id_.byte_size();
   b += added_seqs_.size() * sizeof(std::uint64_t);
   for (const auto& t : tombstones_) {
-    b += sizeof(TombstoneRecord) + t.file.byte_size() +
-         t.std_coords.capacity() * sizeof(double);
+    b += sizeof(TombstoneRecord) + sizeof(la::Vector) + t.file.byte_size() +
+         kCoordBytes;
   }
   b += name_filter_.byte_size();
   b += box_.byte_size();

@@ -5,9 +5,11 @@
 // counting Bloom filter for point queries, the unit's MBR in standardized
 // attribute space and its raw-attribute centroid (its semantic vector).
 //
-// Record layout: position i of a unit is files()[i], its standardized
-// coordinates std_coords(i) (kNumAttrs doubles in one flat array shared by
-// every record) and added_seqs()[i]. The name and id indexes are
+// Record layout: position i of a unit is files()[i] and added_seqs()[i].
+// Records keep their raw attrs only: no z-scores are stored, and scans
+// derive them per query, on the query's dims, from the store's
+// standardizer. The unit box is still in standardized space (add_file is
+// handed each record's z-scores to widen it). The name and id indexes are
 // open-addressing tables of 8-byte slots (position + 32-bit key hash); the
 // keys themselves live only in files().
 //
@@ -24,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -49,11 +50,11 @@ inline constexpr std::uint64_t kAssignSeq = static_cast<std::uint64_t>(-1);
 
 /// A record version that has been deleted but is still visible to some
 /// pinned snapshot: visible at snapshot S iff added_seq <= S < deleted_seq.
-/// Tombstones keep the standardized coordinates so snapshot scans can run
-/// without re-standardizing.
+/// Like live records, a tombstone keeps raw attrs only. The unit box need
+/// not cover it (a unit rebuilt from a snapshot boxes its live records
+/// alone), so scans check tombstones whatever the box says.
 struct TombstoneRecord {
   metadata::FileMetadata file;
-  la::Vector std_coords;
   std::uint64_t added_seq = 0;
   std::uint64_t deleted_seq = 0;
 };
@@ -132,10 +133,11 @@ class StorageUnit {
   std::size_t file_count() const { return files_.size(); }
   bool empty() const { return files_.empty(); }
 
-  /// Adds a record; `std_coords` is the file's standardized full-D vector
-  /// (the geometry every MBR in the store is expressed in) and `name_hash`
-  /// the digest of f.name (bloom::hash_item), which callers have already
-  /// computed for the tree and replica filters. `added_seq` is the commit
+  /// Adds a record. `std_coords` is the file's standardized full-D vector
+  /// (the geometry every MBR in the store is expressed in); it widens the
+  /// unit box and is not kept. `name_hash` is the digest of f.name
+  /// (bloom::hash_item), which callers have already computed for the tree
+  /// and replica filters. `added_seq` is the commit
   /// sequence stamped on the mutation (0 = pre-history: bulk builds and
   /// legacy snapshots, visible to every snapshot).
   void add_file(const metadata::FileMetadata& f, const la::Vector& std_coords,
@@ -157,10 +159,6 @@ class StorageUnit {
   const metadata::FileMetadata* find_by_id(metadata::FileId id) const;
 
   const std::vector<metadata::FileMetadata>& files() const { return files_; }
-  /// Standardized coordinates of the record at position i.
-  std::span<const double> std_coords(std::size_t i) const {
-    return {coords_.data() + i * metadata::kNumAttrs, metadata::kNumAttrs};
-  }
 
   /// Commit sequence of each live record, parallel to files(). 0 means
   /// pre-history (always visible).
@@ -190,20 +188,23 @@ class StorageUnit {
     return name_filter_.to_bloom_filter();
   }
 
-  /// MBR over standardized coordinates of local files.
+  /// MBR over standardized coordinates of local files. It only widens
+  /// (add_file) until the unit is rebuilt, so it covers every live record.
   const rtree::Mbr& box() const { return box_; }
 
   /// Raw-attribute centroid (the unit's semantic vector source).
   la::Vector centroid_raw() const;
 
   /// Approximate memory footprint of everything this unit stores locally
-  /// for itself (records + indexes), excluding hosted index units.
+  /// for itself (records + indexes), excluding hosted index units. Each
+  /// record and tombstone is charged its kNumAttrs standardized coordinates
+  /// as well: that is the modeled size of the paper's records (Figures 7
+  /// and 14), though scans derive the coordinates instead of holding them.
   std::size_t byte_size() const;
 
  private:
   UnitId id_;
   std::vector<metadata::FileMetadata> files_;
-  std::vector<double> coords_;             // kNumAttrs per record of files_
   std::vector<std::uint64_t> added_seqs_;  // parallel to files_
   std::vector<TombstoneRecord> tombstones_;  // MVCC version chain
   PositionIndex by_name_;  // name -> position

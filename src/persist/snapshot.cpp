@@ -244,8 +244,8 @@ struct SnapshotAccess {
 
   /// v2 unit entry: the v1 record block, then the parallel added_seq array
   /// and the tombstone versions still pinned above `watermark` — the
-  /// "checkpoint respects the GC watermark" rule. Tombstone coordinates are
-  /// rebuilt from the standardizer on load, like live records'.
+  /// "checkpoint respects the GC watermark" rule. Records and tombstones
+  /// carry raw attrs only, in the image and in memory.
   static void save_unit(const core::StorageUnit& u, std::uint64_t watermark,
                         BinaryWriter& w) {
     w.write_u64(u.id());
@@ -543,6 +543,8 @@ struct SnapshotAccess {
     // counting Bloom filter, MBR and centroid sums are rebuilt via
     // add_file. The rebuilt MBR can only be tighter than the persisted tree
     // boxes (deletes never shrink boxes), so containment invariants hold.
+    // It boxes the live records only: restored tombstones may lie outside
+    // it, which is why snapshot scans never prune tombstones by the box.
     const std::size_t unit_count =
         static_cast<std::size_t>(units_r.read_u64_max(
             units_r.remaining(), "unit count"));
@@ -580,7 +582,6 @@ struct SnapshotAccess {
           t.deleted_seq = units_r.read_u64();
           if (t.deleted_seq == 0 || t.deleted_seq <= t.added_seq)
             throw PersistError("tombstone with inverted seq window");
-          t.std_coords = s.standardizer_.transform(t.file.full_vector());
           s.units_.back().restore_tombstone(std::move(t));
         }
       }

@@ -65,7 +65,9 @@ class SS_CAPABILITY("mutex") Mutex {
 
 /// std::shared_mutex with a rank and TSA capability identity. Shared
 /// acquisitions participate in rank ordering exactly like exclusive ones
-/// (a reader holding the shape lock still takes unit locks below it).
+/// (a reader holding the shape lock still takes unit locks below it); the
+/// validator also records which holds are shared, so assert_held() can
+/// demand an exclusive one.
 class SS_CAPABILITY("shared_mutex") SharedMutex {
  public:
   explicit SharedMutex(LockRank rank = LockRank::kLeaf) noexcept
@@ -83,7 +85,7 @@ class SS_CAPABILITY("shared_mutex") SharedMutex {
     LockOrderValidator::on_release(this, rank_);
   }
   void lock_shared() SS_ACQUIRE_SHARED() {
-    LockOrderValidator::on_acquire(this, rank_);
+    LockOrderValidator::on_acquire(this, rank_, /*shared=*/true);
     mu_.lock_shared();
   }
   void unlock_shared() SS_RELEASE_SHARED() {
@@ -92,6 +94,20 @@ class SS_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   LockRank rank() const noexcept { return rank_; }
+
+  /// Mutex::assert_held for the exclusive side: aborts in validator builds
+  /// unless the calling thread holds this (non-leaf) mutex exclusively — a
+  /// reader hold is not enough to mutate what it guards.
+  void assert_held() const SS_ASSERT_CAPABILITY(this) {
+#ifdef SMARTSTORE_LOCK_RANK_ACTIVE
+    if (rank_ != LockRank::kLeaf &&
+        !LockOrderValidator::holds_exclusive(this)) {
+      std::fprintf(stderr, "lock-rank violation: assert_held(%s) failed\n",
+                   lock_rank_name(rank_));
+      std::abort();
+    }
+#endif
+  }
 
  private:
   std::shared_mutex mu_;

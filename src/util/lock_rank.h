@@ -45,7 +45,7 @@ enum class LockRank : int {
   kDeltaEngine = 6,      ///< persist::DeltaEngine cut/fold mutex
                          ///< (held across begin_checkpoint: below kShape)
   kShape = 10,           ///< core structure (shape) shared_mutex
-  kUnit = 20,            ///< per-storage-unit record mutexes
+  kUnit = 20,            ///< per-storage-unit record shared_mutexes
   kSummaryStripe = 30,   ///< index-unit summary stripe pool
   kSyncStripe = 40,      ///< group replica-sync stripe pool
   kFreeze = 50,          ///< checkpoint freeze/COW interlock
@@ -102,8 +102,9 @@ inline const char* lock_rank_name(LockRank r) {
 
 class LockOrderValidator {
  public:
-  /// Call immediately BEFORE blocking on the mutex at `mu`.
-  static void on_acquire(const void* mu, LockRank rank) {
+  /// Call immediately BEFORE blocking on the mutex at `mu`; `shared` marks
+  /// a reader acquisition of a shared mutex.
+  static void on_acquire(const void* mu, LockRank rank, bool shared = false) {
     if (rank == LockRank::kLeaf) return;
     Stack& s = tls();
     for (int i = 0; i < s.depth; ++i) {
@@ -117,7 +118,7 @@ class LockOrderValidator {
     if (s.depth == kMaxDepth) {
       fail("held-lock stack overflow", mu, rank, rank);
     }
-    s.held[s.depth++] = Held{mu, rank};
+    s.held[s.depth++] = Held{mu, rank, shared};
   }
 
   /// Call immediately AFTER unlocking the mutex at `mu`.
@@ -142,6 +143,16 @@ class LockOrderValidator {
     return false;
   }
 
+  /// True iff the calling thread holds the (non-leaf) mutex at `mu`
+  /// exclusively — a reader hold does not count.
+  static bool holds_exclusive(const void* mu) {
+    const Stack& s = tls();
+    for (int i = 0; i < s.depth; ++i) {
+      if (s.held[i].mu == mu) return !s.held[i].shared;
+    }
+    return false;
+  }
+
   /// Number of tracked locks the calling thread currently holds.
   static int held_count() { return tls().depth; }
 
@@ -150,6 +161,7 @@ class LockOrderValidator {
   struct Held {
     const void* mu;
     LockRank rank;
+    bool shared;
   };
   struct Stack {
     Held held[kMaxDepth];
@@ -176,9 +188,10 @@ class LockOrderValidator {
 
 class LockOrderValidator {
  public:
-  static void on_acquire(const void*, LockRank) {}
+  static void on_acquire(const void*, LockRank, bool = false) {}
   static void on_release(const void*, LockRank) {}
   static bool holds(const void*) { return false; }
+  static bool holds_exclusive(const void*) { return false; }
   static int held_count() { return 0; }
 };
 

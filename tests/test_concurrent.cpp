@@ -23,12 +23,16 @@
 #include <thread>
 #include <vector>
 
+#include "core/ground_truth.h"
 #include "persist/bg_checkpoint.h"
 #include "persist/delta_checkpoint.h"
 #include "persist/recovery.h"
+#include "persist/snapshot.h"
 #include "persist/wal_shard.h"
 #include "smartstore/smartstore.h"
+#include "trace/query_gen.h"
 #include "trace/synth.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace smartstore::persist {
@@ -228,6 +232,214 @@ TEST(MultiWriter, QueriesRunConcurrentlyWithWriters) {
     EXPECT_TRUE(
         store.point_query({stream[i].name}, Routing::kOnline, 0.0).found);
   }
+}
+
+/// One acknowledged mutation and the commit seq the store stamped on it.
+struct Acked {
+  std::uint64_t seq = 0;
+  bool insert = false;
+  FileMetadata file;
+};
+
+/// One pinned read: the seq it pinned, its queries and their answers.
+struct PinnedSample {
+  std::uint64_t seq = 0;
+  metadata::RangeQuery range;
+  std::vector<metadata::FileId> range_ids;
+  metadata::TopKQuery topk;
+  std::vector<std::pair<double, metadata::FileId>> hits;
+};
+
+TEST(MultiWriter, PinnedScansMatchBruteForceAtTheirSeq) {
+  // Writers insert and erase while readers pin a seq, run a range and a
+  // top-k scan at it, and release. Afterwards every answer must equal
+  // core::brute_force_range / brute_force_topk over the records visible at
+  // its seq, rebuilt from the writers' acked log. The stamps come from one
+  // counter through the write-ahead hook, as the sharded WAL issues them,
+  // so each acked mutation knows its seq.
+  Deployment d(8, /*downscale=*/10);
+  SmartStore& store = d.store;
+  const std::vector<FileMetadata>& base = d.trace.files();
+  const auto fresh = d.trace.make_insert_stream(600, 77);
+  {
+    std::set<std::string> names;
+    std::set<metadata::FileId> ids;
+    for (const auto* pop : {&base, &fresh}) {
+      for (const FileMetadata& f : *pop) {
+        ASSERT_TRUE(names.insert(f.name).second) << f.name;
+        ASSERT_TRUE(ids.insert(f.id).second) << f.id;
+      }
+    }
+  }
+  constexpr std::size_t kWriters = 3;
+  constexpr std::size_t kReaders = 2;
+  constexpr std::size_t kMaxSamples = 150;  // per reader
+
+  const metadata::AttrSubset dims({metadata::Attr::kModificationTime,
+                                   metadata::Attr::kReadBytes,
+                                   metadata::Attr::kWriteBytes});
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> readers_started{0};
+  std::vector<std::vector<PinnedSample>> samples(kReaders);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      trace::QueryGenerator gen(d.trace, trace::QueryDistribution::kZipf,
+                                200 + r);
+      do {
+        PinnedSample s;
+        auto pin = store.pin_snapshot(&s.seq);
+        s.range = gen.gen_range(dims, 0.1);
+        s.range_ids = store.snapshot_range_query(s.range, s.seq).ids;
+        s.topk = gen.gen_topk(
+            samples[r].size() % 2 ? dims : metadata::AttrSubset::all(), 8);
+        s.hits = store.snapshot_topk_query(s.topk, s.seq).hits;
+        pin.reset();
+        samples[r].push_back(std::move(s));
+        if (samples[r].size() == 1) readers_started.fetch_add(1);
+      } while (!done.load(std::memory_order_acquire) &&
+               samples[r].size() < kMaxSamples);
+    });
+  }
+  std::atomic<std::uint64_t> next_seq{store.last_commit_seq()};
+  std::vector<std::vector<Acked>> logs(kWriters);
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      // Writes start once every reader holds a first answer, so pins
+      // land before, among and after them.
+      while (readers_started.load() < kReaders) std::this_thread::yield();
+      util::Rng rng(100 + w);
+      // Writer w owns every kWriters-th base and fresh file: no name is
+      // touched by two writers, so each key's ops are ordered by one thread.
+      std::vector<FileMetadata> live;
+      for (std::size_t i = w; i < base.size(); i += kWriters)
+        live.push_back(base[i]);
+      std::size_t next_fresh = w;
+      for (int op = 0; op < 300; ++op) {
+        std::uint64_t seq = 0;
+        auto stamp = [&](core::UnitId) {
+          seq = next_seq.fetch_add(1, std::memory_order_relaxed) + 1;
+          return seq;
+        };
+        if (rng.uniform_u64(2) == 0 && next_fresh < fresh.size()) {
+          const FileMetadata& f = fresh[next_fresh];
+          next_fresh += kWriters;
+          store.insert_file(f, 0.0, stamp);
+          logs[w].push_back({seq, true, f});
+          live.push_back(f);
+        } else if (!live.empty()) {
+          const std::size_t pick =
+              static_cast<std::size_t>(rng.uniform_u64(live.size()));
+          const FileMetadata f = live[pick];
+          EXPECT_TRUE(store.erase_file(f.name, stamp)) << f.name;
+          logs[w].push_back({seq, false, f});
+          live[pick] = live.back();
+          live.pop_back();
+        }
+      }
+    });
+  }
+
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_TRUE(store.check_invariants());
+
+  // Replay the acked log in seq order up to each sample's seq.
+  std::vector<Acked> log;
+  for (const auto& mine : logs) log.insert(log.end(), mine.begin(), mine.end());
+  std::sort(log.begin(), log.end(),
+            [](const Acked& a, const Acked& b) { return a.seq < b.seq; });
+  for (std::size_t i = 0; i < log.size(); ++i)
+    ASSERT_EQ(log[i].seq, i + 1) << "every stamp belongs to one acked op";
+  std::vector<const PinnedSample*> order;
+  for (const auto& mine : samples)
+    for (const PinnedSample& s : mine) order.push_back(&s);
+  std::sort(order.begin(), order.end(),
+            [](const PinnedSample* a, const PinnedSample* b) {
+              return a->seq < b->seq;
+            });
+  ASSERT_GT(order.size(), 0u);
+
+  std::map<std::string, FileMetadata> visible;
+  for (const FileMetadata& f : base) visible.emplace(f.name, f);
+  std::size_t applied = 0;
+  std::size_t nonempty = 0;
+  for (const PinnedSample* s : order) {
+    for (; applied < log.size() && log[applied].seq <= s->seq; ++applied) {
+      const Acked& a = log[applied];
+      if (a.insert) {
+        visible.emplace(a.file.name, a.file);
+      } else {
+        visible.erase(a.file.name);
+      }
+    }
+    std::vector<FileMetadata> pop;
+    pop.reserve(visible.size());
+    for (const auto& [name, f] : visible) pop.push_back(f);
+    auto want_ids = core::brute_force_range(pop, s->range);
+    std::sort(want_ids.begin(), want_ids.end());
+    EXPECT_EQ(s->range_ids, want_ids) << "range at seq " << s->seq;
+    EXPECT_EQ(s->hits, core::brute_force_topk(pop, store.standardizer(),
+                                               s->topk))
+        << "top-k at seq " << s->seq;
+    if (!want_ids.empty()) ++nonempty;
+  }
+  EXPECT_GT(nonempty, 0u) << "no range sample had a hit to check";
+}
+
+TEST(MultiWriter, ReloadedTombstonesOutsideTheUnitBoxStayVisible) {
+  // A unit rebuilt from a checkpoint boxes its live records only, so a
+  // tombstone restored beside them can lie outside the box. A pinned range
+  // scan at the tombstone's old seq must still return it: scans may skip a
+  // unit's live records by the box, never its tombstones.
+  const std::string dir = temp_dir("tomb_box");
+  Deployment d(8, /*downscale=*/10);
+  SmartStore& store = d.store;
+  constexpr metadata::Attr kDim = metadata::Attr::kFileSize;
+  constexpr std::size_t kD = static_cast<std::size_t>(kDim);
+
+  // The victim: unit 0's strictly largest file, so the box rebuilt without
+  // it ends below the victim on kDim.
+  const std::vector<FileMetadata>& unit0 = store.units()[0].files();
+  ASSERT_GE(unit0.size(), 2u);
+  std::size_t top = 0;
+  for (std::size_t i = 1; i < unit0.size(); ++i)
+    if (unit0[i].attr(kDim) > unit0[top].attr(kDim)) top = i;
+  const FileMetadata victim = unit0[top];
+  for (std::size_t i = 0; i < unit0.size(); ++i)
+    if (i != top) ASSERT_LT(unit0[i].attr(kDim), victim.attr(kDim));
+
+  std::uint64_t seq = 0;
+  auto pin = store.pin_snapshot(&seq);
+  ASSERT_TRUE(store.erase_file(victim.name));
+  const std::string path = dir + "/snapshot.bin";
+  store.begin_checkpoint();
+  save_snapshot_frozen(store, path, WalFence{});
+  store.end_checkpoint();
+  pin.reset();
+  const auto loaded = load_snapshot(path);
+
+  // The case this test is for: the victim is a tombstone of unit 0 and
+  // lies outside unit 0's rebuilt box.
+  ASSERT_EQ(loaded->units()[0].tombstones().size(), 1u);
+  ASSERT_EQ(loaded->units()[0].tombstones()[0].file.id, victim.id);
+  ASSERT_LT(loaded->units()[0].box().hi()[kD],
+            loaded->std_coords(victim)[kD]);
+
+  metadata::RangeQuery q;
+  q.dims = metadata::AttrSubset({kDim});
+  q.lo = {victim.attr(kDim)};
+  q.hi = {victim.attr(kDim)};
+  auto want = core::brute_force_range(d.trace.files(), q);
+  std::sort(want.begin(), want.end());
+  ASSERT_NE(std::find(want.begin(), want.end(), victim.id), want.end());
+  EXPECT_EQ(loaded->snapshot_range_query(q, seq).ids, want);
+  const auto now =
+      loaded->snapshot_range_query(q, loaded->last_commit_seq()).ids;
+  EXPECT_EQ(std::count(now.begin(), now.end(), victim.id), 0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {

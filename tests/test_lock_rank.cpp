@@ -110,6 +110,12 @@ TEST(LockRankTest, AssertHeldPassesWhenHeld) {
   pool.assert_held(&obj);  // must not abort
 }
 
+TEST(LockRankTest, SharedAssertHeldPassesUnderWriter) {
+  SharedMutex unit{LockRank::kUnit};
+  const WriterLock lock(unit);
+  unit.assert_held();  // must not abort
+}
+
 TEST(LockRankDeathTest, InvertedOrderDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Mutex unit{LockRank::kUnit};
@@ -178,6 +184,18 @@ TEST(LockRankDeathTest, AssertHeldWithoutLockDies) {
   StripedMutexPool pool{LockRank::kSyncStripe};
   int obj = 0;
   EXPECT_DEATH(pool.assert_held(&obj), "lock-rank violation");
+}
+
+TEST(LockRankDeathTest, SharedAssertHeldNeedsTheWriterSide) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SharedMutex unit{LockRank::kUnit};
+  EXPECT_DEATH(unit.assert_held(), "lock-rank violation");
+  EXPECT_DEATH(
+      {
+        const ReaderLock shared(unit);
+        unit.assert_held();  // a reader hold may not mutate
+      },
+      "lock-rank violation");
 }
 
 #endif  // SMARTSTORE_LOCK_RANK_ACTIVE

@@ -401,6 +401,102 @@ TEST_F(SmartStoreTest, SimulationChangesOnlyTime) {
   }
 }
 
+TEST_F(SmartStoreTest, AlternatingStoresRouteLikeBackToBack) {
+  // A thread keeps one RNG stream per store it drives, so alternating ops
+  // across two stores routes each store exactly as running its ops back to
+  // back does: home units, and with them messages and hops, do not depend
+  // on how one thread interleaves stores.
+  trace::QueryGenerator gen(trace_, trace::QueryDistribution::kZipf, 17);
+  const auto inserts = trace_.make_insert_stream(30, 19);
+  std::vector<metadata::PointQuery> points;
+  std::vector<metadata::RangeQuery> ranges;
+  std::vector<metadata::TopKQuery> topks;
+  for (std::size_t i = 0; i < inserts.size(); ++i) {
+    points.push_back(gen.gen_point(0.9));
+    ranges.push_back(gen.gen_range(AttrSubset::all(), 0.1));
+    topks.push_back(gen.gen_topk(AttrSubset::all(), 6));
+  }
+  struct Op {
+    std::vector<FileId> ids;
+    std::uint64_t messages;
+    std::uint64_t hops;
+  };
+  // Step i of the op sequence on `store`: an insert and three routed
+  // queries, appended to `out`.
+  auto step = [&](SmartStore& store, std::size_t i, std::vector<Op>& out) {
+    const double at = static_cast<double>(i);
+    const QueryStats ins = store.insert_file(inserts[i], at);
+    out.push_back({{}, ins.messages, ins.hops});
+    const auto p = store.point_query(points[i], Routing::kOffline, at);
+    out.push_back({{p.found ? p.id : 0}, p.stats.messages, p.stats.hops});
+    const auto r = store.range_query(ranges[i], Routing::kOffline, at);
+    out.push_back({r.ids, r.stats.messages, r.stats.hops});
+    const auto t = store.topk_query(topks[i], Routing::kOnline, at);
+    out.push_back({t.ids(), t.stats.messages, t.stats.hops});
+  };
+  auto fresh = [&] {
+    auto store = std::make_unique<SmartStore>(small_config());
+    store->build(trace_.files());
+    return store;
+  };
+
+  auto a = fresh();
+  auto b = fresh();
+  std::vector<Op> a_alone, b_alone;
+  for (std::size_t i = 0; i < inserts.size(); ++i) step(*a, i, a_alone);
+  for (std::size_t i = 0; i < inserts.size(); ++i) step(*b, i, b_alone);
+
+  auto c = fresh();
+  auto d = fresh();
+  std::vector<Op> c_mixed, d_mixed;
+  for (std::size_t i = 0; i < inserts.size(); ++i) {
+    step(*c, i, c_mixed);
+    step(*d, i, d_mixed);
+  }
+
+  ASSERT_EQ(a_alone.size(), c_mixed.size());
+  for (std::size_t i = 0; i < a_alone.size(); ++i) {
+    EXPECT_EQ(c_mixed[i].ids, a_alone[i].ids) << "op " << i;
+    EXPECT_EQ(c_mixed[i].messages, a_alone[i].messages) << "op " << i;
+    EXPECT_EQ(c_mixed[i].hops, a_alone[i].hops) << "op " << i;
+    EXPECT_EQ(d_mixed[i].ids, b_alone[i].ids) << "op " << i;
+    EXPECT_EQ(d_mixed[i].messages, b_alone[i].messages) << "op " << i;
+    EXPECT_EQ(d_mixed[i].hops, b_alone[i].hops) << "op " << i;
+  }
+}
+
+TEST_F(SmartStoreTest, RoutedAndPinnedScansMatchBruteForceBitForBit) {
+  // Records hold raw attrs only and scans derive z-scores per query; the
+  // derivation is the brute-force oracle's own expression, so exact routed
+  // (on-line) and pinned answers equal it bit for bit: the same ids, and
+  // the same (distance², id) pairs in the same order.
+  trace::QueryGenerator gen(trace_, trace::QueryDistribution::kZipf, 23);
+  const AttrSubset dims(
+      {Attr::kModificationTime, Attr::kReadBytes, Attr::kWriteBytes});
+  const std::uint64_t seq = store_->last_commit_seq();
+  for (int i = 0; i < 20; ++i) {
+    const auto q = gen.gen_range(dims, 0.1);
+    auto truth = brute_force_range(trace_.files(), q);
+    std::sort(truth.begin(), truth.end());
+    auto routed = store_->range_query(q, Routing::kOnline, 0.0).ids;
+    std::sort(routed.begin(), routed.end());
+    EXPECT_EQ(routed, truth) << "range " << i;
+    EXPECT_EQ(store_->snapshot_range_query(q, seq).ids, truth)
+        << "range " << i;
+  }
+  for (const AttrSubset& topk_dims : {dims, AttrSubset::all()}) {
+    for (int i = 0; i < 15; ++i) {
+      const auto q = gen.gen_topk(topk_dims, 8);
+      const auto truth =
+          brute_force_topk(trace_.files(), store_->standardizer(), q);
+      EXPECT_EQ(store_->topk_query(q, Routing::kOnline, 0.0).hits, truth)
+          << "top-k " << i;
+      EXPECT_EQ(store_->snapshot_topk_query(q, seq).hits, truth)
+          << "top-k " << i;
+    }
+  }
+}
+
 TEST(SmartStoreEdge, EmptyStoreQueries) {
   Config cfg;
   cfg.num_units = 4;

@@ -6,6 +6,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "core/ground_truth.h"
 #include "metadata/schema.h"
 #include "util/rng.h"
 
@@ -72,15 +73,19 @@ TEST(StorageUnit, RemoveSwapsIndexesCorrectly) {
 }
 
 TEST(StorageUnit, BoxCoversAllCoords) {
+  // Records keep raw attrs only: each record's z-scores are derived the way
+  // the store's scans derive them, from a standardizer fitted over the
+  // population, and the unit box must cover every one.
+  std::vector<FileMetadata> files;
+  for (int i = 1; i <= 10; ++i)
+    files.push_back(make_file(i, 10.0 * i, 100.0 - i));
+  const la::RowStandardizer st = fit_standardizer(files);
   StorageUnit u(0, 1024, 7);
-  for (int i = 1; i <= 10; ++i) {
-    const auto f = make_file(i, 10.0 * i, 100.0 - i);
-    u.add_file(f, coords(f), bloom::hash_item(f.name));
-  }
-  for (std::size_t i = 0; i < u.file_count(); ++i) {
-    const auto c = u.std_coords(i);
-    EXPECT_TRUE(u.box().contains(la::Vector(c.begin(), c.end())));
-  }
+  for (const auto& f : files)
+    u.add_file(f, st.transform(f.full_vector()), bloom::hash_item(f.name));
+  ASSERT_EQ(u.file_count(), files.size());
+  for (const auto& f : u.files())
+    EXPECT_TRUE(u.box().contains(st.transform(f.full_vector()))) << f.id;
 }
 
 TEST(StorageUnit, CentroidIsMeanAndUpdatesOnRemove) {
@@ -112,7 +117,7 @@ TEST(StorageUnit, ByteSizeGrows) {
 // the name.
 struct ReferenceUnit {
   std::vector<FileMetadata> files;
-  std::vector<la::Vector> coords;
+  std::vector<la::Vector> coords;  // the z-scores each record was added with
   std::vector<std::uint64_t> seqs;
   std::vector<TombstoneRecord> tombstones;
   std::unordered_map<std::string, std::size_t> by_name;
@@ -133,7 +138,7 @@ struct ReferenceUnit {
     const std::size_t pos = it->second;
     FileMetadata removed = files[pos];
     if (deleted_seq > 0)
-      tombstones.push_back({removed, coords[pos], seqs[pos], deleted_seq});
+      tombstones.push_back({removed, seqs[pos], deleted_seq});
     by_name.erase(removed.name);
     by_id.erase(it);
     const std::size_t last = files.size() - 1;
@@ -152,6 +157,7 @@ struct ReferenceUnit {
 };
 
 void expect_same(const StorageUnit& u, const ReferenceUnit& ref,
+                 const la::RowStandardizer& st,
                  const std::vector<std::string>& names,
                  const std::vector<metadata::FileId>& ids) {
   ASSERT_EQ(u.file_count(), ref.files.size());
@@ -159,8 +165,11 @@ void expect_same(const StorageUnit& u, const ReferenceUnit& ref,
     ASSERT_EQ(u.files()[i].id, ref.files[i].id) << i;
     ASSERT_EQ(u.files()[i].name, ref.files[i].name) << i;
     ASSERT_EQ(u.added_seqs()[i], ref.seqs[i]) << i;
-    const auto c = u.std_coords(i);
-    ASSERT_EQ(la::Vector(c.begin(), c.end()), ref.coords[i]) << i;
+    // The z-scores derived from the stored attrs are the ones the record
+    // was added with, and the box covers them.
+    const la::Vector c = st.transform(u.files()[i].full_vector());
+    ASSERT_EQ(c, ref.coords[i]) << i;
+    ASSERT_TRUE(u.box().contains(c)) << i;
   }
   for (const auto& n : names) {
     const auto it = ref.by_name.find(n);
@@ -183,7 +192,7 @@ void expect_same(const StorageUnit& u, const ReferenceUnit& ref,
   ASSERT_EQ(u.tombstones().size(), ref.tombstones.size());
   for (std::size_t i = 0; i < ref.tombstones.size(); ++i) {
     ASSERT_EQ(u.tombstones()[i].file.id, ref.tombstones[i].file.id);
-    ASSERT_EQ(u.tombstones()[i].std_coords, ref.tombstones[i].std_coords);
+    ASSERT_EQ(u.tombstones()[i].file.attrs, ref.tombstones[i].file.attrs);
     ASSERT_EQ(u.tombstones()[i].added_seq, ref.tombstones[i].added_seq);
     ASSERT_EQ(u.tombstones()[i].deleted_seq, ref.tombstones[i].deleted_seq);
   }
@@ -196,6 +205,16 @@ void expect_same(const StorageUnit& u, const ReferenceUnit& ref,
 // including a copied unit (the copy-on-write path) mutated on its own.
 TEST(StorageUnit, ChurnMatchesReferenceIndexes) {
   util::Rng rng(2024);
+  // Records carry random attrs on every dim; their z-scores come from a
+  // standardizer fitted over a sample of the same distribution.
+  auto random_file = [&rng](metadata::FileId id) {
+    FileMetadata f = make_file(id, 0, 0);
+    for (auto& a : f.attrs) a = rng.uniform(-50, 150);
+    return f;
+  };
+  std::vector<FileMetadata> sample;
+  for (int i = 0; i < 200; ++i) sample.push_back(random_file(i + 1));
+  const la::RowStandardizer st = fit_standardizer(sample);
   StorageUnit u(0, 1024, 7);
   ReferenceUnit ref;
   std::vector<std::string> names;
@@ -206,13 +225,12 @@ TEST(StorageUnit, ChurnMatchesReferenceIndexes) {
   for (int step = 0; step < 6000; ++step) {
     const std::uint64_t op = rng.uniform_u64(100);
     if (op < 55 || ref.files.empty()) {
-      FileMetadata f = make_file(1000 + step, rng.uniform(0, 100), step);
+      FileMetadata f = random_file(1000 + step);
       if (!names.empty() && rng.uniform_u64(10) == 0)
         f.name = names[rng.uniform_u64(names.size())];  // duplicate name
       if (!ids.empty() && rng.uniform_u64(50) == 0)
         f.id = ids[rng.uniform_u64(ids.size())];  // duplicate id
-      la::Vector c(kNumAttrs);
-      for (auto& x : c) x = rng.uniform(-3, 3);
+      const la::Vector c = st.transform(f.full_vector());
       const std::uint64_t s = rng.uniform_u64(2) ? ++seq : 0;
       u.add_file(f, c, bloom::hash_item(f.name), s);
       ref.add(f, c, s);
@@ -240,10 +258,10 @@ TEST(StorageUnit, ChurnMatchesReferenceIndexes) {
       ref = frozen_ref;
       frozen.reset();
     }
-    if (step % 97 == 0) expect_same(u, ref, names, ids);
+    if (step % 97 == 0) expect_same(u, ref, st, names, ids);
   }
-  expect_same(u, ref, names, ids);
-  if (frozen) expect_same(*frozen, frozen_ref, names, ids);
+  expect_same(u, ref, st, names, ids);
+  if (frozen) expect_same(*frozen, frozen_ref, st, names, ids);
 }
 
 TEST(VersionDelta, EmptyAndByteSize) {
